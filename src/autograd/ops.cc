@@ -1,11 +1,17 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/check.h"
 #include "common/parallel.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
+#include "tensor/dispatch.h"
 
 namespace ppn::ag {
 
@@ -41,6 +47,14 @@ Var MakeOp(Tensor value, std::vector<Var> parents,
 
 void MaybeAccumulate(const Var& parent, const Tensor& delta) {
   if (parent->requires_grad()) parent->AccumulateGrad(delta);
+}
+
+// Logistic sigmoid, the one scalar definition behind `Sigmoid` and the
+// fused LSTM gates: 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x))
+// below, so exp() never overflows; both branches share e = exp(-|x|).
+inline float SigmoidScalar(float x) {
+  const float e = std::exp(x >= 0.0f ? -x : x);
+  return x >= 0.0f ? 1.0f / (1.0f + e) : e / (1.0f + e);
 }
 
 }  // namespace
@@ -131,10 +145,8 @@ Var Tanh(const Var& a) {
 }
 
 Var Sigmoid(const Var& a) {
-  Tensor out = ppn::MapFused(a->value(), [](float x) {
-    return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                     : std::exp(x) / (1.0f + std::exp(x));
-  });
+  Tensor out =
+      ppn::MapFused(a->value(), [](float x) { return SigmoidScalar(x); });
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kSigmoidBwd, self->grad(),
                                    self->value());
@@ -494,6 +506,277 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
           const Var& bias = self->parents[2];
           MaybeAccumulate(bias, ppn::SumRows(grad_matrix));
         }
+      });
+}
+
+namespace {
+
+// The fused LSTM splits the folded rows into blocks of at most
+// kLstmBlockRows and runs whole blocks on OpenMP threads from
+// kLstmParallelRows rows up. Rows never interact inside the recurrence,
+// so the split changes no bits.
+constexpr int64_t kLstmBlockRows = 64;
+constexpr int64_t kLstmParallelRows = 128;
+
+int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
+
+bool LstmParallel(int64_t rows) {
+  return InnerParallelEnabled() && rows >= kLstmParallelRows;
+}
+
+// Runs fn(first_row, rows) over row blocks of [0, total). In parallel the
+// block size evens out the threads' shares (a multiple of 8 rows, the
+// matmul kernel's register block).
+template <class Fn>
+void ForEachLstmRowBlock(int64_t total, const Fn& fn) {
+  const bool parallel = LstmParallel(total);
+  int64_t block = kLstmBlockRows;
+#ifdef _OPENMP
+  if (parallel) {
+    const int64_t per_thread = CeilDiv(total, omp_get_max_threads());
+    const int64_t rounds = CeilDiv(per_thread, kLstmBlockRows);
+    block = CeilDiv(CeilDiv(per_thread, rounds), 8) * 8;
+  }
+#endif
+  const int64_t blocks = CeilDiv(total, block);
+#ifdef _OPENMP
+#pragma omp parallel for if (parallel) schedule(static)
+#endif
+  for (int64_t b = 0; b < blocks; ++b) {
+    const int64_t first = b * block;
+    fn(first, std::min(block, total - first));
+  }
+  (void)parallel;
+}
+
+}  // namespace
+
+Var LstmLastHidden(const Var& sequence, const Var& w_ih, const Var& w_hh,
+                   const Var& bias) {
+  PPN_CHECK_EQ(sequence->value().ndim(), 3);
+  const int64_t n = sequence->value().dim(0);
+  const int64_t time = sequence->value().dim(1);
+  const int64_t in = sequence->value().dim(2);
+  PPN_CHECK_GT(time, 0);
+  PPN_CHECK_EQ(w_hh->value().ndim(), 2);
+  const int64_t hs = w_hh->value().dim(0);
+  const int64_t gs = 4 * hs;
+  PPN_CHECK(w_ih->shape() == (std::vector<int64_t>{in, gs}))
+      << "LstmLastHidden: w_ih " << ShapeToString(w_ih->shape());
+  PPN_CHECK(w_hh->shape() == (std::vector<int64_t>{hs, gs}))
+      << "LstmLastHidden: w_hh " << ShapeToString(w_hh->shape());
+  PPN_CHECK(bias->shape() == (std::vector<int64_t>{gs}))
+      << "LstmLastHidden: bias " << ShapeToString(bias->shape());
+  if (obs::Enabled()) {
+    static thread_local obs::Counter& steps =
+        obs::GetCounter("nn.lstm.cell_steps");
+    steps.Add(static_cast<double>(time));
+  }
+  for (int64_t t = 0; t < time; ++t) {
+    RecordMatMul(n, gs, in);
+    RecordMatMul(n, gs, hs);
+  }
+
+  // Saved for the backward pass only when the node joins the tape: gate
+  // activations [T, 4, N, H] (gate order i, f, g, o), c_t and tanh(c_t)
+  // [T, N, H], and h_0 .. h_{T-2} (h_{T-1} is the op's value).
+  const bool save = GradEnabled() &&
+                    AnyRequiresGrad({sequence, w_ih, w_hh, bias});
+  Tensor gates;
+  Tensor cells;
+  Tensor tanh_cells;
+  Tensor hiddens;
+  if (save) {
+    gates = Tensor::Uninitialized({time, 4, n, hs});
+    cells = Tensor::Uninitialized({time, n, hs});
+    tanh_cells = Tensor::Uninitialized({time, n, hs});
+    if (time > 1) hiddens = Tensor::Uninitialized({time - 1, n, hs});
+  }
+  // h and c start at zero. Without a tape both are updated in place; with
+  // one, `cell` stays the zero c_{-1} and `out` the zero h_{-1} until the
+  // last step writes h_{T-1}.
+  Tensor out({n, hs});
+  Tensor cell({n, hs});
+  Tensor products = Tensor::Uninitialized({n, 2 * gs});
+
+  const float* px = sequence->value().Data();
+  const float* pw_ih = w_ih->value().Data();
+  const float* pw_hh = w_hh->value().Data();
+  const float* pb = bias->value().Data();
+  float* po = out.MutableData();
+  float* pc = cell.MutableData();
+  float* pgates = gates.MutableData();
+  float* pcells = cells.MutableData();
+  float* ptanh = tanh_cells.MutableData();
+  float* phidden = hiddens.MutableData();
+  float* pproducts = products.MutableData();
+  const vec::KernelTable& kernels = dispatch::Kernels();
+  ForEachLstmRowBlock(n, [&](int64_t r0, int64_t rows) {
+    // Gate-major: each gate's products and activations for the block are
+    // one contiguous [rows, H] matrix, so every activation runs as one
+    // flat loop. z = (x_t W_ih + h_{t-1} W_hh) + b goes through the
+    // kernels behind MatMul, Add and AddRowVector (a gate's product is
+    // the matmul on its column slice of W: each element keeps its one
+    // ascending-k accumulator); the gate and cell update is the op-by-op
+    // graph's expression tree, element by element.
+    const int64_t span = rows * hs;
+    float* z_x = pproducts + r0 * 2 * gs;
+    float* z_h = z_x + 4 * span;
+    for (int64_t t = 0; t < time; ++t) {
+      const int64_t step = t * n + r0;
+      const float* h_prev =
+          save && t > 0 ? phidden + (step - n) * hs : po + r0 * hs;
+      float* h_next =
+          save && t + 1 < time ? phidden + step * hs : po + r0 * hs;
+      const float* c_prev =
+          save && t > 0 ? pcells + (step - n) * hs : pc + r0 * hs;
+      float* c_next = save ? pcells + step * hs : pc + r0 * hs;
+      float* act[4];
+      for (int64_t g = 0; g < 4; ++g) {
+        kernels.matmul(px + (r0 * time + t) * in, time * in, pw_ih + g * hs,
+                       gs, z_x + g * span, rows, hs, in,
+                       /*parallel_ok=*/false);
+        kernels.matmul(h_prev, hs, pw_hh + g * hs, gs, z_h + g * span, rows,
+                       hs, hs, /*parallel_ok=*/false);
+        act[g] = save ? pgates + ((4 * t + g) * n + r0) * hs : z_x + g * span;
+        kernels.binary(vec::BinaryOp::kAdd, z_x + g * span, z_h + g * span,
+                       act[g], span, 0.0f, 0.0f);
+        kernels.add_row_vector(act[g], pb + g * hs, act[g], rows, hs);
+      }
+      for (int64_t k = 0; k < span; ++k) act[0][k] = SigmoidScalar(act[0][k]);
+      for (int64_t k = 0; k < span; ++k) act[1][k] = SigmoidScalar(act[1][k]);
+      for (int64_t k = 0; k < span; ++k) act[2][k] = std::tanh(act[2][k]);
+      for (int64_t k = 0; k < span; ++k) act[3][k] = SigmoidScalar(act[3][k]);
+      float* tanh_out = save ? ptanh + step * hs : nullptr;
+      for (int64_t k = 0; k < span; ++k) {
+        const float c = act[1][k] * c_prev[k] + act[0][k] * act[2][k];
+        const float tc = std::tanh(c);
+        c_next[k] = c;
+        if (save) tanh_out[k] = tc;
+        h_next[k] = act[3][k] * tc;
+      }
+    }
+  });
+  return MakeOp(
+      std::move(out), {sequence, w_ih, w_hh, bias},
+      [gates, cells, tanh_cells, hiddens, n, time, in, hs, gs](Node* self) {
+        const Var& sequence = self->parents[0];
+        const Var& w_ih = self->parents[1];
+        const Var& w_hh = self->parents[2];
+        const Var& bias = self->parents[3];
+        const vec::KernelTable& kernels = dispatch::Kernels();
+        const bool need_dx = sequence->requires_grad();
+
+        // Row-parallel BPTT: dz_t for every step, from dh and the cell
+        // carry dc_{t+1} * f_{t+1}; each line mirrors one backward closure
+        // of the op-by-op graph. The `+ 0.0f` stands for the four
+        // zero-padded NarrowVar accumulations into dz (-0 becomes +0).
+        // Rows are independent, so dx_t = dz_t W_ih^T is done per block
+        // too: a matmul sum starts at +0 and is never -0, so one [N, T, I]
+        // delta gives the bits of the old per-step padded slices.
+        Tensor dz = Tensor::Uninitialized({time, n, gs});
+        Tensor w_hh_t = ppn::Transpose2D(w_hh->value());  // [4H, H]
+        Tensor w_ih_t = need_dx ? ppn::Transpose2D(w_ih->value()) : Tensor();
+        Tensor dx =
+            need_dx ? Tensor::Uninitialized(sequence->shape()) : Tensor();
+        Tensor state = Tensor::Uninitialized({n, 2 * hs + in});
+        const float* pg = gates.Data();
+        const float* pc = cells.Data();
+        const float* ptanh = tanh_cells.Data();
+        const float* pgrad = self->grad().Data();
+        float* pdz = dz.MutableData();
+        float* pdx = dx.MutableData();
+        float* pstate = state.MutableData();
+        ForEachLstmRowBlock(n, [&](int64_t r0, int64_t rows) {
+          float* dh = pstate + r0 * (2 * hs + in);  // [rows, H]: dL/dh_t
+          float* carry = dh + rows * hs;  // [rows, H]: dc_{t+1} * f_{t+1}
+          float* dx_t = carry + rows * hs;  // [rows, I]
+          std::copy(pgrad + r0 * hs, pgrad + (r0 + rows) * hs, dh);
+          for (int64_t t = time - 1; t >= 0; --t) {
+            const int64_t step = t * n + r0;
+            const float* gate = pg + (4 * t * n + r0) * hs;  // [4, N, H]
+            for (int64_t r = 0; r < rows; ++r) {
+              const float* a = gate + r * hs;
+              const float* y = ptanh + (step + r) * hs;
+              const float* cp =
+                  t > 0 ? pc + (step - n + r) * hs : nullptr;  // c_{-1} = 0
+              float* d = pdz + (step + r) * gs;
+              float* dhr = dh + r * hs;
+              float* cr = carry + r * hs;
+              for (int64_t j = 0; j < hs; ++j) {
+                const float i = a[j];
+                const float f = a[n * hs + j];
+                const float g = a[2 * n * hs + j];
+                const float o = a[3 * n * hs + j];
+                const float d_o = dhr[j] * y[j];
+                const float d_tanh = dhr[j] * o;
+                const float dc_h = d_tanh * (1.0f - y[j] * y[j]);
+                const float dc = t + 1 < time ? cr[j] + dc_h : dc_h;
+                const float d_f = dc * (cp != nullptr ? cp[j] : 0.0f);
+                const float d_i = dc * g;
+                const float d_g = dc * i;
+                cr[j] = dc * f;
+                d[j] = d_i * (i * (1.0f - i)) + 0.0f;
+                d[hs + j] = d_f * (f * (1.0f - f)) + 0.0f;
+                d[2 * hs + j] = d_g * (1.0f - g * g) + 0.0f;
+                d[3 * hs + j] = d_o * (o * (1.0f - o)) + 0.0f;
+              }
+            }
+            if (need_dx) {
+              kernels.matmul(pdz + step * gs, gs, w_ih_t.Data(), in, dx_t,
+                             rows, in, gs, /*parallel_ok=*/false);
+              for (int64_t r = 0; r < rows; ++r) {
+                std::copy(dx_t + r * in, dx_t + (r + 1) * in,
+                          pdx + ((r0 + r) * time + t) * in);
+              }
+            }
+            if (t > 0) {
+              kernels.matmul(pdz + step * gs, gs, w_hh_t.Data(), hs, dh, rows,
+                             hs, gs, /*parallel_ok=*/false);
+            }
+          }
+        });
+        for (int64_t t = 0; t < time; ++t) {
+          if (need_dx) RecordMatMul(n, in, gs);
+          if (t > 0) RecordMatMul(n, hs, gs);
+          if (w_hh->requires_grad()) RecordMatMul(hs, gs, n);
+          if (w_ih->requires_grad()) RecordMatMul(in, gs, n);
+        }
+        if (need_dx) sequence->AccumulateGrad(dx);
+
+        // Parameter gradients: per step one whole-batch reduction, each
+        // independent of the others, so the steps run in parallel; the
+        // deltas are then added one AccumulateGrad per step in the order
+        // the op-by-op tape delivered them.
+        std::vector<Tensor> d_bias(time);
+        std::vector<Tensor> d_w_hh(time);
+        std::vector<Tensor> d_w_ih(time);
+        for (int64_t t = 0; t < time; ++t) {
+          d_bias[t] = Tensor::Uninitialized({gs});
+          d_w_hh[t] = Tensor::Uninitialized({hs, gs});
+          d_w_ih[t] = Tensor::Uninitialized({in, gs});
+        }
+        Tensor zero_h({n, hs});  // h_{-1}: the t = 0 product still runs.
+        const float* px = sequence->value().Data();
+#ifdef _OPENMP
+#pragma omp parallel for if (LstmParallel(n)) schedule(static)
+#endif
+        for (int64_t t = 0; t < time; ++t) {
+          const float* dz_t = pdz + t * n * gs;
+          const float* h_prev =
+              t > 0 ? hiddens.Data() + (t - 1) * n * hs : zero_h.Data();
+          kernels.sum_rows(dz_t, d_bias[t].MutableData(), n, gs);
+          kernels.matmul_ta(h_prev, hs, dz_t, gs, d_w_hh[t].MutableData(),
+                            hs, gs, n, /*parallel_ok=*/false);
+          kernels.matmul_ta(px + t * in, time * in, dz_t, gs,
+                            d_w_ih[t].MutableData(), in, gs, n,
+                            /*parallel_ok=*/false);
+        }
+        for (int64_t t = time - 1; t >= 0; --t) {
+          MaybeAccumulate(bias, d_bias[t]);
+          MaybeAccumulate(w_hh, d_w_hh[t]);
+        }
+        for (int64_t t = 0; t < time; ++t) MaybeAccumulate(w_ih, d_w_ih[t]);
       });
 }
 

@@ -92,6 +92,19 @@ Var Dropout(const Var& a, float p, bool training, Rng* rng);
 Var Conv2d(const Var& input, const Var& weight, const Var& bias,
            const Conv2dGeometry& geometry);
 
+/// Single-layer LSTM over a [N, T, I] sequence from zero state, returning
+/// the last hidden state [N, H]. `w_ih` [I, 4H], `w_hh` [H, 4H], `bias`
+/// [4H], gate order (i, f, g, o):
+///   z_t = (x_t W_ih + h_{t-1} W_hh) + b,  c_t = f*c_{t-1} + i*g,
+///   h_t = o * tanh(c_t).
+/// One tape node with a hand-written BPTT. Forward and backward run over
+/// row blocks (rows never interact) and reproduce, bit for bit, the
+/// per-step graph of MatMul/Add/AddRowVector/NarrowVar/Sigmoid/Tanh/Mul
+/// ops — values, input gradient and the per-step order of the parameter
+/// gradient accumulations (tests/nn/lstm_equivalence_test.cc).
+Var LstmLastHidden(const Var& sequence, const Var& w_ih, const Var& w_hh,
+                   const Var& bias);
+
 }  // namespace ppn::ag
 
 #endif  // PPN_AUTOGRAD_OPS_H_

@@ -28,6 +28,15 @@ int FindColumn(const std::vector<std::string>& header,
   return -1;
 }
 
+// Parses a period/asset cell. The range check runs on the double: casting
+// a NaN or out-of-range value (1e20) to int64_t is undefined behaviour.
+// The 2^62 ceiling leaves room for the `index + 1` panel extents.
+bool ParseIndex(double raw, int64_t* index) {
+  if (!(raw >= 0.0 && raw < 0x1p62)) return false;  // NaN fails both.
+  *index = static_cast<int64_t>(raw);
+  return static_cast<double>(*index) == raw;
+}
+
 }  // namespace
 
 bool LoadReplayCsv(const std::string& path, const ReplayCsvOptions& options,
@@ -63,12 +72,9 @@ bool LoadReplayCsv(const std::string& path, const ReplayCsvOptions& options,
   int64_t num_assets = 0;
   for (size_t r = 0; r < table.rows.size(); ++r) {
     const auto& row = table.rows[r];
-    const double period_raw = row[col_period];
-    const double asset_raw = row[col_asset];
-    const int64_t t = static_cast<int64_t>(period_raw);
-    const int64_t a = static_cast<int64_t>(asset_raw);
-    if (period_raw != static_cast<double>(t) || t < 0 ||
-        asset_raw != static_cast<double>(a) || a < 0) {
+    int64_t t = 0;
+    int64_t a = 0;
+    if (!ParseIndex(row[col_period], &t) || !ParseIndex(row[col_asset], &a)) {
       return Fail(error, path + " row " + std::to_string(r + 2) +
                              ": period/asset must be non-negative integers");
     }
@@ -77,6 +83,13 @@ bool LoadReplayCsv(const std::string& path, const ReplayCsvOptions& options,
   }
   if (num_periods < 2) {
     return Fail(error, path + " holds fewer than 2 periods; nothing to trade");
+  }
+  if (num_periods > kMaxReplayPanelBars / num_assets) {
+    return Fail(error, path + ": " + std::to_string(num_periods) +
+                           " periods x " + std::to_string(num_assets) +
+                           " assets exceeds the " +
+                           std::to_string(kMaxReplayPanelBars) +
+                           "-bar panel limit");
   }
 
   // Second pass: fill the panel, rejecting duplicate bars.

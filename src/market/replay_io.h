@@ -34,14 +34,21 @@ struct ReplayCsvOptions {
   bool fill_missing = true;
 };
 
+/// Largest panel, in bars (periods x assets), a replay file may declare.
+/// The panel is sized from the largest period and asset index, not from
+/// the row count (absent bars are flat-filled), so without a bound a
+/// two-row file with `period=2000000000` would size a ~128 GB panel.
+/// 2^24 bars is 512 MiB of OHLC doubles.
+inline constexpr int64_t kMaxReplayPanelBars = int64_t{1} << 24;
+
 /// Loads a long-format OHLC CSV into `*dataset`.
 ///
 /// Expected columns (matched by header name, any order, extra columns
 /// ignored): `period`, `asset`, `open`, `high`, `low`, `close`. Periods
 /// and assets are dense 0-based indices; panel shape is inferred from the
-/// maxima. Bars absent from the file are flat-filled (see
-/// `ReplayCsvOptions::fill_missing`), and the result must pass
-/// `OhlcPanel::IsValid`.
+/// maxima, at most `kMaxReplayPanelBars` bars. Bars absent from the file
+/// are flat-filled (see `ReplayCsvOptions::fill_missing`), and the result
+/// must pass `OhlcPanel::IsValid`.
 ///
 /// Returns true on success. On failure returns false, leaves `*dataset`
 /// untouched, and (when `error` is non-null) stores a one-line diagnosis

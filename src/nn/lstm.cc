@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "nn/init.h"
-#include "obs/stats.h"
 
 namespace ppn::nn {
 
@@ -24,56 +23,8 @@ Lstm::Lstm(int64_t input_size, int64_t hidden_size, Rng* rng)
   bias_ = RegisterParameter("bias", std::move(bias));
 }
 
-void Lstm::Step(const ag::Var& x_t, ag::Var* h, ag::Var* c) const {
-  using namespace ag;  // NOLINT: local op vocabulary.
-  if (obs::Enabled()) {
-    static thread_local obs::Counter& steps =
-        obs::GetCounter("nn.lstm.cell_steps");
-    steps.Add(1.0);
-  }
-  Var z = AddRowVector(Add(MatMul(x_t, w_ih_), MatMul(*h, w_hh_)), bias_);
-  const int64_t hs = hidden_size_;
-  Var i_gate = Sigmoid(NarrowVar(z, 1, 0, hs));
-  Var f_gate = Sigmoid(NarrowVar(z, 1, hs, hs));
-  Var g_gate = Tanh(NarrowVar(z, 1, 2 * hs, hs));
-  Var o_gate = Sigmoid(NarrowVar(z, 1, 3 * hs, hs));
-  *c = Add(Mul(f_gate, *c), Mul(i_gate, g_gate));
-  *h = Mul(o_gate, Tanh(*c));
-}
-
 ag::Var Lstm::ForwardLastHidden(const ag::Var& sequence) const {
-  PPN_CHECK_EQ(sequence->value().ndim(), 3);
-  const int64_t batch = sequence->value().dim(0);
-  const int64_t time = sequence->value().dim(1);
-  PPN_CHECK_EQ(sequence->value().dim(2), input_size_);
-  PPN_CHECK_GT(time, 0);
-  ag::Var h = ag::Constant(Tensor({batch, hidden_size_}));
-  ag::Var c = ag::Constant(Tensor({batch, hidden_size_}));
-  for (int64_t t = 0; t < time; ++t) {
-    ag::Var x_t = ag::Reshape(ag::NarrowVar(sequence, 1, t, 1),
-                              {batch, input_size_});
-    Step(x_t, &h, &c);
-  }
-  return h;
-}
-
-ag::Var Lstm::ForwardAllHidden(const ag::Var& sequence) const {
-  PPN_CHECK_EQ(sequence->value().ndim(), 3);
-  const int64_t batch = sequence->value().dim(0);
-  const int64_t time = sequence->value().dim(1);
-  PPN_CHECK_EQ(sequence->value().dim(2), input_size_);
-  PPN_CHECK_GT(time, 0);
-  ag::Var h = ag::Constant(Tensor({batch, hidden_size_}));
-  ag::Var c = ag::Constant(Tensor({batch, hidden_size_}));
-  std::vector<ag::Var> hidden_steps;
-  hidden_steps.reserve(time);
-  for (int64_t t = 0; t < time; ++t) {
-    ag::Var x_t = ag::Reshape(ag::NarrowVar(sequence, 1, t, 1),
-                              {batch, input_size_});
-    Step(x_t, &h, &c);
-    hidden_steps.push_back(ag::Reshape(h, {batch, 1, hidden_size_}));
-  }
-  return ag::ConcatVars(hidden_steps, 1);
+  return ag::LstmLastHidden(sequence, w_ih_, w_hh_, bias_);
 }
 
 }  // namespace ppn::nn

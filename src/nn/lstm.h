@@ -22,20 +22,14 @@ class Lstm : public Module {
   Lstm(int64_t input_size, int64_t hidden_size, Rng* rng);
 
   /// Runs the recurrence over a [batch, time, input_size] sequence and
-  /// returns the final hidden state [batch, hidden_size].
+  /// returns the final hidden state [batch, hidden_size]: one fused
+  /// `ag::LstmLastHidden` node.
   ag::Var ForwardLastHidden(const ag::Var& sequence) const;
-
-  /// Runs the recurrence and returns all hidden states concatenated as
-  /// [batch, time, hidden_size].
-  ag::Var ForwardAllHidden(const ag::Var& sequence) const;
 
   int64_t input_size() const { return input_size_; }
   int64_t hidden_size() const { return hidden_size_; }
 
  private:
-  /// One step: returns new (h, c) given x_t [batch, input].
-  void Step(const ag::Var& x_t, ag::Var* h, ag::Var* c) const;
-
   int64_t input_size_;
   int64_t hidden_size_;
   ag::Var w_ih_;

@@ -19,19 +19,6 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
                              << ShapeToString(b.shape());
 }
 
-/// Shared by the three matmul variants: one call, 2·m·n·k FLOPs.
-inline void RecordMatMul(int64_t m, int64_t n, int64_t k) {
-  if (obs::Enabled()) {
-    static thread_local obs::Counter& calls =
-        obs::GetCounter("tensor.matmul.calls");
-    static thread_local obs::Counter& flops =
-        obs::GetCounter("tensor.matmul.flops");
-    calls.Add(1.0);
-    flops.Add(2.0 * static_cast<double>(m) * static_cast<double>(n) *
-              static_cast<double>(k));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The kernel bodies live in src/tensor/vec/ (one instantiation per ISA,
 // selected at runtime by tensor/dispatch.{h,cc} — CPUID + PPN_SIMD).
@@ -45,6 +32,18 @@ inline void RecordMatMul(int64_t m, int64_t n, int64_t k) {
 // ---------------------------------------------------------------------------
 
 }  // namespace
+
+void RecordMatMul(int64_t m, int64_t n, int64_t k) {
+  if (obs::Enabled()) {
+    static thread_local obs::Counter& calls =
+        obs::GetCounter("tensor.matmul.calls");
+    static thread_local obs::Counter& flops =
+        obs::GetCounter("tensor.matmul.flops");
+    calls.Add(1.0);
+    flops.Add(2.0 * static_cast<double>(m) * static_cast<double>(n) *
+              static_cast<double>(k));
+  }
+}
 
 Tensor EltwiseUnary(vec::UnaryOp op, const Tensor& a, float p0, float p1) {
   Tensor out = Tensor::Uninitialized(a.shape());

@@ -91,6 +91,13 @@ Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
 Tensor ZipMap(const Tensor& a, const Tensor& b,
               const std::function<float(float, float)>& fn);
 
+/// Counts one [m,k] x [k,n] product (2·m·n·k FLOPs) in
+/// `tensor.matmul.calls` / `tensor.matmul.flops` when obs is enabled. The
+/// three MatMul variants call it; code that runs the dispatched matmul
+/// kernels directly (the fused LSTM in autograd/ops.cc) calls it once per
+/// whole-batch product so the counters stay comparable.
+void RecordMatMul(int64_t m, int64_t n, int64_t k);
+
 /// Matrix product of a [m,k] and b [k,n] -> [m,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 

@@ -216,15 +216,7 @@ void BlockedMatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
                    float* out, int64_t m, int64_t n, int64_t k,
                    bool parallel_ok) {
   constexpr int64_t kJB = Vec::kWidth;
-  // OpenMP splits row blocks; every output element is computed wholly by
-  // one thread with the same per-element order, so any thread count gives
-  // bit-identical results.
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel_ok && m * n * k > 65536) schedule(static)
-#else
-  (void)parallel_ok;
-#endif
-  for (int64_t i0 = 0; i0 < m; i0 += kIB) {
+  const auto row_block = [&](int64_t i0) {
     const int64_t ib = m - i0 < kIB ? m - i0 : kIB;
     // A's row-block origin: row i0 in the row-major layout, column i0 in
     // the transposed layout.
@@ -242,7 +234,21 @@ void BlockedMatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
       EdgeBlock<Vec, kATransposed>(a_block, lda, b + j0, ldb, out_block + j0, n,
                                    k, ib, jb);
     }
+  };
+  // OpenMP splits row blocks; every output element is computed wholly by
+  // one thread with the same per-element order, so any thread count gives
+  // bit-identical results. A serial call stays out of the OpenMP runtime:
+  // even a one-thread region costs ~0.4 us, more than a small product.
+#ifdef _OPENMP
+  if (parallel_ok && m * n * k > 65536) {
+#pragma omp parallel for schedule(static)
+    for (int64_t i0 = 0; i0 < m; i0 += kIB) row_block(i0);
+    return;
   }
+#else
+  (void)parallel_ok;
+#endif
+  for (int64_t i0 = 0; i0 < m; i0 += kIB) row_block(i0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -205,6 +207,22 @@ std::vector<GradCase> MakeCases() {
         Tensor({1}, {0.1f})});
   }
 
+  // The fused LSTM: [N=2, T=4, I=3] sequence, hidden 2, so every gate,
+  // the recurrence and all four inputs' gradients are exercised.
+  add_case("LstmLastHidden", [](const std::vector<Var>& in) {
+    Var h = LstmLastHidden(in[0], in[1], in[2], in[3]);
+    return SumAll(Mul(h, h));
+  }, {Tensor({2, 4, 3}, {0.5f, -1.2f, 0.3f, 0.8f, -0.4f, 1.5f,
+                         -0.7f, 0.2f, 0.9f, 0.1f, -0.3f, 0.6f,
+                         1.1f, 0.4f, -0.9f, -0.2f, 0.7f, 0.05f,
+                         0.3f, -0.6f, 0.4f, -1.0f, 0.25f, 0.8f}),
+      Tensor({3, 8}, {0.4f, -0.3f, 0.2f, 0.5f, -0.1f, 0.3f, -0.5f, 0.2f,
+                      -0.2f, 0.6f, 0.1f, -0.4f, 0.3f, -0.2f, 0.4f, 0.1f,
+                      0.3f, 0.1f, -0.5f, 0.2f, 0.4f, 0.5f, -0.3f, -0.6f}),
+      Tensor({2, 8}, {0.2f, -0.4f, 0.3f, 0.1f, -0.3f, 0.2f, 0.5f, -0.1f,
+                      -0.5f, 0.1f, 0.2f, -0.2f, 0.4f, -0.3f, 0.1f, 0.3f}),
+      Tensor({8}, {0.1f, -0.1f, 1.0f, 0.9f, 0.05f, -0.2f, 0.3f, 0.0f})});
+
   return cases;
 }
 
@@ -213,6 +231,31 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GradCase>& info) {
       return info.param.name;
     });
+
+// `Sigmoid` (and the fused LSTM gates, which share its scalar function)
+// must keep the overflow-free two-branch expression bit for bit, since
+// results, checkpoints and golden checksums depend on it. Sampled over
+// the float bit patterns, with the specials.
+TEST(SigmoidTest, MatchesTheTwoBranchExpressionBitForBit) {
+  std::vector<float> values = {0.0f, -0.0f, INFINITY, -INFINITY, NAN, -NAN,
+                               88.8f, -88.8f, 104.0f, -104.0f};
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += 4099) {
+    const uint32_t pattern = static_cast<uint32_t>(bits);
+    float x;
+    std::memcpy(&x, &pattern, sizeof(x));
+    values.push_back(x);
+  }
+  const Tensor input({static_cast<int64_t>(values.size())}, values);
+  const Tensor out = Sigmoid(Constant(input))->value();
+  for (size_t i = 0; i < values.size(); ++i) {
+    const float x = values[i];
+    const float expected = x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                                     : std::exp(x) / (1.0f + std::exp(x));
+    const float got = out[static_cast<int64_t>(i)];
+    ASSERT_EQ(std::memcmp(&got, &expected, sizeof(float)), 0)
+        << "x=" << x << " got " << got << " expected " << expected;
+  }
+}
 
 TEST(DropoutGradTest, MaskIsConsistentBetweenForwardAndBackward) {
   Rng rng(3);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,51 @@ TEST_F(ReplayIoTest, DegenerateSplitIsReported) {
   std::string error;
   EXPECT_FALSE(LoadReplayCsv(path, options, &dataset, &error));
   EXPECT_NE(error.find("degenerate split"), std::string::npos) << error;
+}
+
+TEST_F(ReplayIoTest, OutOfRangeIndexIsReportedBeforeTheCast) {
+  // Each value would be undefined behaviour as an int64_t cast.
+  for (const char* bad : {"1e20", "-1e20", "nan", "inf", "-inf"}) {
+    for (const bool in_period : {true, false}) {
+      const std::string path = PathFor("bad_index.csv");
+      {
+        std::ofstream out(path);
+        out << "period,asset,open,high,low,close\n"
+            << "0,0,1,1.1,0.9,1\n";
+        if (in_period) {
+          out << bad << ",0,1,1.1,0.9,1\n";
+        } else {
+          out << "1," << bad << ",1,1.1,0.9,1\n";
+        }
+      }
+      MarketDataset dataset;
+      std::string error;
+      EXPECT_FALSE(LoadReplayCsv(path, {}, &dataset, &error)) << bad;
+      EXPECT_NE(error.find("row 3: period/asset must be non-negative"),
+                std::string::npos)
+          << bad << ": " << error;
+    }
+  }
+}
+
+TEST_F(ReplayIoTest, OversizedPanelIsRejectedBeforeAllocation) {
+  // Two rows declaring a 2e9-period panel: ~128 GB if it were allocated.
+  CsvTable table;
+  table.header = {"period", "asset", "open", "high", "low", "close"};
+  table.rows.push_back({0.0, 0.0, 1.0, 1.1, 0.9, 1.0});
+  table.rows.push_back({2000000000.0, 0.0, 1.0, 1.1, 0.9, 1.0});
+  // Just over the limit through the asset count instead.
+  CsvTable wide = table;
+  wide.rows[1] = {1.0, static_cast<double>(kMaxReplayPanelBars / 2), 1.0,
+                  1.1, 0.9, 1.0};
+  for (const CsvTable* t : {&table, &wide}) {
+    const std::string path = PathFor("huge.csv");
+    ASSERT_TRUE(WriteCsv(path, *t));
+    MarketDataset dataset;
+    std::string error;
+    EXPECT_FALSE(LoadReplayCsv(path, {}, &dataset, &error));
+    EXPECT_NE(error.find("-bar panel limit"), std::string::npos) << error;
+  }
 }
 
 TEST_F(ReplayIoTest, MissingFileIsReported) {

@@ -252,24 +252,6 @@ TEST(LstmTest, ForgetBiasInitializedToOne) {
   }
 }
 
-TEST(LstmTest, LastHiddenMatchesAllHiddenTail) {
-  Rng rng(9);
-  Lstm lstm(3, 4, &rng);
-  Tensor seq_data({2, 5, 3});
-  Rng data_rng(10);
-  for (int64_t i = 0; i < seq_data.numel(); ++i) {
-    seq_data.MutableData()[i] = static_cast<float>(data_rng.Normal());
-  }
-  ag::Var seq = ag::Constant(seq_data);
-  ag::Var last = lstm.ForwardLastHidden(seq);
-  ag::Var all = lstm.ForwardAllHidden(seq);
-  for (int64_t b = 0; b < 2; ++b) {
-    for (int64_t h = 0; h < 4; ++h) {
-      EXPECT_FLOAT_EQ(last->value().At({b, h}), all->value().At({b, 4, h}));
-    }
-  }
-}
-
 TEST(LstmTest, OrderSensitivity) {
   // An LSTM must distinguish sequence order (unlike a mean pool).
   Rng rng(11);
