@@ -109,8 +109,7 @@ void BM_SoftmaxRows(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRows);
 
-// Elementwise: the fused (statically dispatched) kernels against the
-// type-erased std::function path they replaced on the hot autograd ops.
+// Elementwise: a dispatched kernel and a statically dispatched functor.
 
 void BM_ElementwiseMul(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -123,18 +122,6 @@ void BM_ElementwiseMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ElementwiseMul)->Arg(1024)->Arg(65536);
-
-void BM_MapTypeErased(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(1);
-  Tensor a = RandomNormal({n}, 0.0f, 1.0f, &rng);
-  std::function<float(float)> fn = [](float x) { return x * 1.5f + 2.0f; };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Map(a, fn));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_MapTypeErased)->Arg(65536);
 
 void BM_MapFused(benchmark::State& state) {
   const int64_t n = state.range(0);

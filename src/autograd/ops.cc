@@ -442,12 +442,9 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
     const float* pm = out_matrix.Data();
     float* po = out.MutableData();
     // Pure permutation, disjoint per image: safe and bit-identical.
-#ifdef _OPENMP
-#pragma omp parallel for \
-    if (InnerParallelEnabled() && batch * c_out * out_h * out_w > 65536) \
-    schedule(static)
-#endif
-    for (int64_t b = 0; b < batch; ++b) {
+    ParallelFor(batch,
+                InnerParallelEnabled() && batch * c_out * out_h * out_w > 65536,
+                [&](int64_t b) {
       for (int64_t oy = 0; oy < out_h; ++oy) {
         for (int64_t ox = 0; ox < out_w; ++ox) {
           const float* row = pm + ((b * out_h + oy) * out_w + ox) * c_out;
@@ -456,7 +453,7 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
           }
         }
       }
-    }
+    });
   }
 
   std::vector<Var> parents = {input, weight};
@@ -476,12 +473,10 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
           const float* pg = self->grad().Data();
           float* pm = grad_matrix.MutableData();
           // Pure permutation, disjoint per image: safe and bit-identical.
-#ifdef _OPENMP
-#pragma omp parallel for \
-    if (InnerParallelEnabled() && batch * c_out * out_h * out_w > 65536) \
-    schedule(static)
-#endif
-          for (int64_t b = 0; b < batch; ++b) {
+          ParallelFor(batch,
+                      InnerParallelEnabled() &&
+                          batch * c_out * out_h * out_w > 65536,
+                      [&](int64_t b) {
             for (int64_t co = 0; co < c_out; ++co) {
               for (int64_t oy = 0; oy < out_h; ++oy) {
                 for (int64_t ox = 0; ox < out_w; ++ox) {
@@ -490,7 +485,7 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
                 }
               }
             }
-          }
+          });
         }
         if (input->requires_grad()) {
           Tensor weight_matrix = weight->value().Reshaped({c_out, patch});
@@ -538,15 +533,10 @@ void ForEachLstmRowBlock(int64_t total, const Fn& fn) {
     block = CeilDiv(CeilDiv(per_thread, rounds), 8) * 8;
   }
 #endif
-  const int64_t blocks = CeilDiv(total, block);
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel) schedule(static)
-#endif
-  for (int64_t b = 0; b < blocks; ++b) {
+  ParallelFor(CeilDiv(total, block), parallel, [&](int64_t b) {
     const int64_t first = b * block;
     fn(first, std::min(block, total - first));
-  }
-  (void)parallel;
+  });
 }
 
 }  // namespace
@@ -758,10 +748,7 @@ Var LstmLastHidden(const Var& sequence, const Var& w_ih, const Var& w_hh,
         }
         Tensor zero_h({n, hs});  // h_{-1}: the t = 0 product still runs.
         const float* px = sequence->value().Data();
-#ifdef _OPENMP
-#pragma omp parallel for if (LstmParallel(n)) schedule(static)
-#endif
-        for (int64_t t = 0; t < time; ++t) {
+        ParallelFor(time, LstmParallel(n), [&](int64_t t) {
           const float* dz_t = pdz + t * n * gs;
           const float* h_prev =
               t > 0 ? hiddens.Data() + (t - 1) * n * hs : zero_h.Data();
@@ -771,7 +758,7 @@ Var LstmLastHidden(const Var& sequence, const Var& w_ih, const Var& w_hh,
           kernels.matmul_ta(px + t * in, time * in, dz_t, gs,
                             d_w_ih[t].MutableData(), in, gs, n,
                             /*parallel_ok=*/false);
-        }
+        });
         for (int64_t t = time - 1; t >= 0; --t) {
           MaybeAccumulate(bias, d_bias[t]);
           MaybeAccumulate(w_hh, d_w_hh[t]);

@@ -1,6 +1,8 @@
 #ifndef PPN_COMMON_PARALLEL_H_
 #define PPN_COMMON_PARALLEL_H_
 
+#include <cstdint>
+
 /// \file
 /// Coordination between the two layers of parallelism in the library:
 /// coarse-grained experiment cells run on `exec::ThreadPool` workers, and
@@ -40,6 +42,25 @@ class ScopedInnerParallelDisable {
 /// Number of hardware threads (>= 1); `std::thread::hardware_concurrency`
 /// with a floor of 1.
 int HardwareThreads();
+
+/// Runs body(i) for every i in [0, n): on an OpenMP team with a static
+/// schedule when `parallel` is true, else as a plain loop that never
+/// enters the OpenMP runtime (even a one-thread region costs ~0.4 us,
+/// more than many small kernel calls). Callers pass bodies whose
+/// iterations write disjoint outputs, so both branches give the same bits.
+template <class Body>
+void ParallelFor(int64_t n, bool parallel, const Body& body) {
+#ifdef _OPENMP
+  if (parallel) {
+#pragma omp parallel for schedule(static)
+    for (int64_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+#else
+  (void)parallel;
+#endif
+  for (int64_t i = 0; i < n; ++i) body(i);
+}
 
 }  // namespace ppn
 

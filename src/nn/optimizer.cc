@@ -144,16 +144,13 @@ void Adam::Step() {
     float* v = second_moment_[i].data();
     const int64_t numel = p->numel();
     // Elementwise with disjoint writes: bit-identical at any thread count.
-#ifdef _OPENMP
-#pragma omp parallel for if (InnerParallelEnabled() && numel > 65536) \
-    schedule(static)
-#endif
-    for (int64_t j = 0; j < numel; ++j) {
+    ParallelFor(numel, InnerParallelEnabled() && numel > 65536,
+                [&](int64_t j) {
       m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
       v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
       value[j] -= corrected_lr * m[j] / (std::sqrt(v[j]) + epsilon_) +
                   learning_rate_ * weight_decay_ * value[j];
-    }
+    });
   }
 }
 

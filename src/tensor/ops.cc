@@ -89,16 +89,6 @@ Tensor MulScalar(const Tensor& a, float s) {
   return EltwiseUnary(vec::UnaryOp::kMulScalar, a, s);
 }
 
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  return MapFused(a, [&fn](float x) { return fn(x); });
-}
-
-Tensor ZipMap(const Tensor& a, const Tensor& b,
-              const std::function<float(float, float)>& fn) {
-  CheckSameShape(a, b, "ZipMap");
-  return ZipMapFused(a, b, [&fn](float x, float y) { return fn(x, y); });
-}
-
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   PPN_CHECK_EQ(a.ndim(), 2);
   PPN_CHECK_EQ(b.ndim(), 2);

@@ -1,7 +1,6 @@
 #ifndef PPN_TENSOR_OPS_H_
 #define PPN_TENSOR_OPS_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -55,8 +54,7 @@ Tensor EltwiseBinary(vec::BinaryOp op, const Tensor& a, const Tensor& b,
                      float p0 = 0.0f, float p1 = 0.0f);
 
 /// Applies `fn` elementwise with static dispatch: the functor inlines
-/// into the loop (no per-element `std::function` call). This is the hot
-/// path used by the autograd activations.
+/// into the loop. This is the path the autograd activations use.
 template <typename Fn>
 Tensor MapFused(const Tensor& a, Fn fn) {
   Tensor out = Tensor::Uninitialized(a.shape());
@@ -81,15 +79,6 @@ Tensor ZipMapFused(const Tensor& a, const Tensor& b, Fn fn) {
   for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
   return out;
 }
-
-/// Applies `fn` elementwise. Type-erased fallback API: prefer `MapFused`
-/// on hot paths (a `std::function` call per element is ~10x slower).
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
-
-/// Applies `fn(a_i, b_i)` elementwise (same shape). Type-erased fallback
-/// API: prefer `ZipMapFused` on hot paths.
-Tensor ZipMap(const Tensor& a, const Tensor& b,
-              const std::function<float(float, float)>& fn);
 
 /// Counts one [m,k] x [k,n] product (2·m·n·k FLOPs) in
 /// `tensor.matmul.calls` / `tensor.matmul.flops` when obs is enabled. The

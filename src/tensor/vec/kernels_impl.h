@@ -1,10 +1,13 @@
 #ifndef PPN_TENSOR_VEC_KERNELS_IMPL_H_
 #define PPN_TENSOR_VEC_KERNELS_IMPL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "common/parallel.h"
 #include "tensor/vec/kernels.h"
 #include "tensor/vec/vec.h"
 
@@ -16,7 +19,8 @@
 ///
 /// Bit-identity rules (DESIGN.md §2.8):
 ///  - Reductions (matmul, sum_rows, col2im) keep ONE accumulator per
-///    output element, summed in the reference order. SIMD lanes only
+///    output element, summed in the reference order (matmul parks it in
+///    the output between k-chunks; a float store and reload is exact). SIMD lanes only
 ///    ever hold DISTINCT output elements, so widening the vector cannot
 ///    reorder any element's sum.
 ///  - Elementwise kernels replicate the scalar expression tree per lane
@@ -169,36 +173,52 @@ void BinaryKernel(BinaryOp op, const float* a, const float* b, float* out,
 }
 
 // ---------------------------------------------------------------------------
-// Blocked matmul. Same structure as the pre-SIMD kernel (8-row register
-// blocks, j vectorized, ascending-k single accumulators); the interior
-// microkernel now holds its 8 j-lane accumulators in Vec registers.
+// Blocked matmul: 8-row x Vec::kWidth-column output tiles, j vectorized,
+// one ascending-k accumulator per output element.
 // ---------------------------------------------------------------------------
 
 constexpr int64_t kIB = 8;
+// k terms per chunk. Between chunks a tile's accumulators are parked in
+// `out` and reloaded; a float store and reload is exact, so each element
+// still sums its k terms in ascending order in one accumulator. Chunking
+// keeps a chunk's rows of B in cache while every tile sweeps them, and
+// gives OpenMP tiles (not just row blocks) to split when m is small.
+constexpr int64_t kKChunk = 256;
 
+inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
+
+// One ib x jb output tile over k terms. `resume` continues from the
+// accumulators parked in `out` by the previous chunk instead of +0. Full
+// tiles hold their accumulators in Vec registers: the unroll pragmas keep
+// GCC from leaving acc[] on the stack, which measured about 2x slower.
+// Edge tiles (m % 8, n % kWidth remainders) run scalar loops with the
+// same discipline.
 template <class Vec, bool kATransposed>
-inline void MicroKernel(const float* a, int64_t lda, const float* b,
-                        int64_t ldb, float* out, int64_t ldo, int64_t k) {
-  Vec acc[kIB];
-  for (int64_t i = 0; i < kIB; ++i) acc[i] = Vec::Zero();
-  for (int64_t p = 0; p < k; ++p) {
-    const Vec b_row = Vec::LoadU(b + p * ldb);
+inline void Tile(const float* a, int64_t lda, const float* b, int64_t ldb,
+                 float* out, int64_t ldo, int64_t k, int64_t ib, int64_t jb,
+                 bool resume) {
+  if (ib == kIB && jb == Vec::kWidth) {
+    Vec acc[kIB];
+#pragma GCC unroll 8
     for (int64_t i = 0; i < kIB; ++i) {
-      const float av = kATransposed ? a[p * lda + i] : a[i * lda + p];
-      acc[i] = Vec::MulAdd(Vec::Broadcast(av), b_row, acc[i]);
+      acc[i] = resume ? Vec::LoadU(out + i * ldo) : Vec::Zero();
     }
+    for (int64_t p = 0; p < k; ++p) {
+      const Vec b_row = Vec::LoadU(b + p * ldb);
+#pragma GCC unroll 8
+      for (int64_t i = 0; i < kIB; ++i) {
+        const float av = kATransposed ? a[p * lda + i] : a[i * lda + p];
+        acc[i] = Vec::MulAdd(Vec::Broadcast(av), b_row, acc[i]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int64_t i = 0; i < kIB; ++i) acc[i].StoreU(out + i * ldo);
+    return;
   }
-  for (int64_t i = 0; i < kIB; ++i) acc[i].StoreU(out + i * ldo);
-}
-
-// Variable-size remainder block (right/bottom edges): scalar loops with
-// the same accumulator discipline. Edge work is O(edge * k); keeping it
-// scalar costs little and stays trivially bit-identical.
-template <class Vec, bool kATransposed>
-inline void EdgeBlock(const float* a, int64_t lda, const float* b, int64_t ldb,
-                      float* out, int64_t ldo, int64_t k, int64_t ib,
-                      int64_t jb) {
-  float acc[kIB][Vec::kWidth] = {};
+  float acc[kIB][Vec::kWidth];
+  for (int64_t i = 0; i < ib; ++i) {
+    for (int64_t j = 0; j < jb; ++j) acc[i][j] = resume ? out[i * ldo + j] : 0.0f;
+  }
   for (int64_t p = 0; p < k; ++p) {
     const float* b_row = b + p * ldb;
     for (int64_t i = 0; i < ib; ++i) {
@@ -216,88 +236,111 @@ void BlockedMatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
                    float* out, int64_t m, int64_t n, int64_t k,
                    bool parallel_ok) {
   constexpr int64_t kJB = Vec::kWidth;
-  const auto row_block = [&](int64_t i0) {
-    const int64_t ib = m - i0 < kIB ? m - i0 : kIB;
-    // A's row-block origin: row i0 in the row-major layout, column i0 in
-    // the transposed layout.
-    const float* a_block = kATransposed ? a + i0 : a + i0 * lda;
-    float* out_block = out + i0 * n;
-    int64_t j0 = 0;
-    if (ib == kIB) {
-      for (; j0 + kJB <= n; j0 += kJB) {
-        MicroKernel<Vec, kATransposed>(a_block, lda, b + j0, ldb,
-                                       out_block + j0, n, k);
-      }
-    }
-    for (; j0 < n; j0 += kJB) {
-      const int64_t jb = n - j0 < kJB ? n - j0 : kJB;
-      EdgeBlock<Vec, kATransposed>(a_block, lda, b + j0, ldb, out_block + j0, n,
-                                   k, ib, jb);
-    }
+  // k = 0 still runs one chunk, which writes the zeros.
+  const int64_t chunks = k > 0 ? CeilDiv(k, kKChunk) : 1;
+  const auto tile = [&](int64_t i0, int64_t j0, int64_t chunk) {
+    const int64_t p0 = chunk * kKChunk;
+    // A's tile origin: row i0, column p0 of the row-major layout; row p0,
+    // column i0 of the transposed layout.
+    const float* a_tile = kATransposed ? a + p0 * lda + i0 : a + i0 * lda + p0;
+    Tile<Vec, kATransposed>(a_tile, lda, b + p0 * ldb + j0, ldb,
+                            out + i0 * n + j0, n, std::min(kKChunk, k - p0),
+                            std::min(kIB, m - i0), std::min(kJB, n - j0),
+                            /*resume=*/chunk > 0);
   };
-  // OpenMP splits row blocks; every output element is computed wholly by
-  // one thread with the same per-element order, so any thread count gives
-  // bit-identical results. A serial call stays out of the OpenMP runtime:
-  // even a one-thread region costs ~0.4 us, more than a small product.
+  // OpenMP splits tiles; every output element is computed wholly by one
+  // thread with the same per-element order, so any team size gives the
+  // same bits. Each chunk's loop is `nowait`: the OpenMP spec assigns the
+  // same iterations to the same threads in static loops with the same
+  // iteration count and schedule bound to one parallel region, so a
+  // tile's next chunk always runs on the thread that parked it. A serial
+  // call stays out of the OpenMP runtime: even a one-thread region costs
+  // ~0.4 us, more than a small product.
 #ifdef _OPENMP
   if (parallel_ok && m * n * k > 65536) {
-#pragma omp parallel for schedule(static)
-    for (int64_t i0 = 0; i0 < m; i0 += kIB) row_block(i0);
+    const int64_t col_blocks = CeilDiv(n, kJB);
+    const int64_t tiles = CeilDiv(m, kIB) * col_blocks;
+#pragma omp parallel
+    for (int64_t chunk = 0; chunk < chunks; ++chunk) {
+#pragma omp for schedule(static) nowait
+      for (int64_t t = 0; t < tiles; ++t) {
+        tile(t / col_blocks * kIB, t % col_blocks * kJB, chunk);
+      }
+    }
     return;
   }
 #else
   (void)parallel_ok;
 #endif
-  for (int64_t i0 = 0; i0 < m; i0 += kIB) row_block(i0);
+  // The same tiles in the same order, without a division per tile.
+  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
+    for (int64_t i0 = 0; i0 < m; i0 += kIB) {
+      for (int64_t j0 = 0; j0 < n; j0 += kJB) tile(i0, j0, chunk);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// im2col / col2im.
+// im2col / col2im. Pure data movement and single adds per tap, so the
+// bits only depend on which taps are in bounds and on the scatter order.
 // ---------------------------------------------------------------------------
+
+// The taps [lo, hi) of one axis whose input index origin + tap * dilation
+// lies in [0, size). Empty ranges come back as lo == hi.
+struct TapRange {
+  int64_t lo, hi;
+};
+
+inline TapRange ClampTaps(int64_t origin, int64_t dilation, int64_t taps,
+                          int64_t size) {
+  // Interior first: most pixels of a wide axis, and no division.
+  if (origin >= 0 && origin + dilation * (taps - 1) < size) return {0, taps};
+  const int64_t lo = origin < 0 ? CeilDiv(-origin, dilation) : 0;
+  const int64_t hi =
+      origin < size ? std::min(taps, (size - 1 - origin) / dilation + 1) : 0;
+  return {lo, std::max(lo, hi)};
+}
 
 // For output pixels whose every tap is in bounds, the patch is a fixed
 // gather pattern: tap (ch, ky, kx) reads base + ch*h*w + ky*dil_h*w +
 // kx*dil_w where base is the pixel's top-left input element. The
-// interior fast path precomputes those offsets once and gathers; only
-// boundary pixels (and inputs too large for int32 offsets) take the
-// bounds-checked scalar loop. Pure data movement: bit-identity is free.
+// interior fast path precomputes those offsets once and gathers.
+// Boundary pixels (and inputs too large for int32 offsets) zero their
+// patch row, then copy only each pixel's in-bounds tap ranges.
 template <class Vec>
-void Im2Col(const float* pi, float* pc, const Im2ColArgs& g, bool parallel_ok) {
-  const int64_t plane = g.h * g.w;
-  const bool gatherable = g.c * plane <= INT32_MAX;
+void Im2Col(const float* pi, float* pc, const Im2ColArgs& args,
+            bool parallel_ok) {
+  const int64_t plane = args.h * args.w;
+  const bool gatherable = args.c * plane <= INT32_MAX;
   std::vector<int32_t> rel;
   if (gatherable) {
-    rel.reserve(static_cast<size_t>(g.patch));
-    for (int64_t ch = 0; ch < g.c; ++ch) {
-      for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
-        for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-          rel.push_back(static_cast<int32_t>(ch * plane + ky * g.dilation_h * g.w +
-                                             kx * g.dilation_w));
+    rel.reserve(static_cast<size_t>(args.patch));
+    for (int64_t ch = 0; ch < args.c; ++ch) {
+      for (int64_t ky = 0; ky < args.kernel_h; ++ky) {
+        for (int64_t kx = 0; kx < args.kernel_w; ++kx) {
+          rel.push_back(static_cast<int32_t>(
+              ch * plane + ky * args.dilation_h * args.w + kx * args.dilation_w));
         }
       }
     }
   }
   const int32_t* rel_data = rel.data();
-  // Tap extents: pixel (oy, ox) is interior iff its first and last taps
-  // are in bounds on both axes.
-  const int64_t span_y = g.dilation_h * (g.kernel_h - 1);
-  const int64_t span_x = g.dilation_w * (g.kernel_w - 1);
-#ifdef _OPENMP
-#pragma omp parallel for \
-    if (parallel_ok && g.n * g.out_h * g.out_w * g.patch > 65536) \
-    schedule(static)
-#else
-  (void)parallel_ok;
-#endif
-  for (int64_t b = 0; b < g.n; ++b) {
+  ParallelFor(args.n,
+              parallel_ok && args.n * args.out_h * args.out_w * args.patch > 65536,
+              [&](int64_t b) {
+    // A local copy: vector stores may alias any memory, so fields read
+    // through the reference would be reloaded after every store.
+    const Im2ColArgs g = args;
     const float* batch = pi + b * g.c * plane;
     for (int64_t oy = 0; oy < g.out_h; ++oy) {
       const int64_t y0 = oy - g.pad_top;
-      const bool y_interior = y0 >= 0 && y0 + span_y < g.h;
+      const TapRange ys = ClampTaps(y0, g.dilation_h, g.kernel_h, g.h);
       for (int64_t ox = 0; ox < g.out_w; ++ox) {
         float* col = pc + ((b * g.out_h + oy) * g.out_w + ox) * g.patch;
         const int64_t x0 = ox - g.pad_left;
-        if (gatherable && y_interior && x0 >= 0 && x0 + span_x < g.w) {
+        const TapRange xs = ClampTaps(x0, g.dilation_w, g.kernel_w, g.w);
+        if (gatherable && ys.hi - ys.lo == g.kernel_h &&
+            xs.hi - xs.lo == g.kernel_w) {
           const float* base = batch + y0 * g.w + x0;
           int64_t ci = 0;
           for (; ci + Vec::kWidth <= g.patch; ci += Vec::kWidth) {
@@ -306,61 +349,58 @@ void Im2Col(const float* pi, float* pc, const Im2ColArgs& g, bool parallel_ok) {
           for (; ci < g.patch; ++ci) col[ci] = base[rel_data[ci]];
           continue;
         }
-        int64_t col_index = 0;
+        std::memset(col, 0, static_cast<size_t>(g.patch) * sizeof(float));
         for (int64_t ch = 0; ch < g.c; ++ch) {
-          for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
-            const int64_t in_y = y0 + ky * g.dilation_h;
-            for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-              const int64_t in_x = x0 + kx * g.dilation_w;
-              float value = 0.0f;
-              if (in_y >= 0 && in_y < g.h && in_x >= 0 && in_x < g.w) {
-                value = batch[(ch * g.h + in_y) * g.w + in_x];
-              }
-              col[col_index++] = value;
+          for (int64_t ky = ys.lo; ky < ys.hi; ++ky) {
+            // Input offset of tap (ch, ky, 0); it may lie outside the
+            // image, but every tap the kx loop reads is inside.
+            const int64_t src = ch * plane + (y0 + ky * g.dilation_h) * g.w + x0;
+            float* dst = col + (ch * g.kernel_h + ky) * g.kernel_w;
+            for (int64_t kx = xs.lo; kx < xs.hi; ++kx) {
+              dst[kx] = batch[src + kx * g.dilation_w];
             }
           }
         }
       }
     }
-  }
+  });
 }
 
-// Adjoint scatter-add. Overlapping patches accumulate into shared
-// pixels, so vector lanes could not hold distinct output elements along
-// the patch axis in general; the kernel stays scalar (its cost is small
-// next to the conv matmuls) and identical in both tables.
+// Adjoint scatter-add, in the reference order: output pixels in raster
+// order, then taps (ch, ky, kx), skipping out-of-bounds taps. Each
+// pixel's in-bounds tap ranges are computed once, so no tap is
+// bounds-checked and every input pixel receives the same adds in the
+// same order. Overlapping patches accumulate into shared pixels, so
+// lanes could not hold distinct outputs along the patch axis; the kernel
+// stays scalar and identical in both tables. It is not cheap: on the
+// PPN convs it costs about twice the input-gradient matmul.
 template <class Vec>
 void Col2Im(const float* pc, float* pi, const Im2ColArgs& g, bool parallel_ok) {
-  // Parallel over the batch only: overlapping patches of one image
-  // accumulate into shared pixels, but images never alias each other, and
-  // the within-image accumulation order is untouched (bit-identical).
-#ifdef _OPENMP
-#pragma omp parallel for \
-    if (parallel_ok && g.n * g.out_h * g.out_w * g.patch > 65536) \
-    schedule(static)
-#else
-  (void)parallel_ok;
-#endif
-  for (int64_t b = 0; b < g.n; ++b) {
+  const int64_t plane = g.h * g.w;
+  // Parallel over the batch only: images never alias each other.
+  ParallelFor(g.n, parallel_ok && g.n * g.out_h * g.out_w * g.patch > 65536,
+              [&](int64_t b) {
+    float* image = pi + b * g.c * plane;
     for (int64_t oy = 0; oy < g.out_h; ++oy) {
+      const int64_t y0 = oy - g.pad_top;
+      const TapRange ys = ClampTaps(y0, g.dilation_h, g.kernel_h, g.h);
       for (int64_t ox = 0; ox < g.out_w; ++ox) {
         const float* col = pc + ((b * g.out_h + oy) * g.out_w + ox) * g.patch;
-        int64_t col_index = 0;
+        const int64_t x0 = ox - g.pad_left;
+        const TapRange xs = ClampTaps(x0, g.dilation_w, g.kernel_w, g.w);
         for (int64_t ch = 0; ch < g.c; ++ch) {
-          for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
-            const int64_t in_y = oy - g.pad_top + ky * g.dilation_h;
-            for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-              const int64_t in_x = ox - g.pad_left + kx * g.dilation_w;
-              const float value = col[col_index++];
-              if (in_y >= 0 && in_y < g.h && in_x >= 0 && in_x < g.w) {
-                pi[((b * g.c + ch) * g.h + in_y) * g.w + in_x] += value;
-              }
+          for (int64_t ky = ys.lo; ky < ys.hi; ++ky) {
+            const float* src = col + (ch * g.kernel_h + ky) * g.kernel_w;
+            // As in Im2Col: only the in-bounds taps are ever indexed.
+            const int64_t dst = ch * plane + (y0 + ky * g.dilation_h) * g.w + x0;
+            for (int64_t kx = xs.lo; kx < xs.hi; ++kx) {
+              image[dst + kx * g.dilation_w] += src[kx];
             }
           }
         }
       }
     }
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -118,16 +118,20 @@ struct Dims {
 
 // Odd shapes chosen to hit every edge path of the blocked driver: unit,
 // sub-block, exact-block, non-multiple-of-block, tall/skinny in each
-// dimension, one size big enough to trip the OpenMP branch, and
+// dimension, sizes big enough to trip the OpenMP branch, and
 // SIMD-hostile cases — k=1 (single-term accumulators), n in {7, 9, 17}
 // (odd vector tails around the 8-lane width), and zero-size extents
-// (empty loops must not touch the null buffer).
+// (empty loops must not touch the null buffer; k=0 must still write
+// zeros). k in {255, 256, 257, 513} sits on either side of the 256-term
+// chunk, where tiles park their accumulators in the output and resume,
+// both serially and on the OpenMP branch.
 const Dims kShapes[] = {
-    {1, 1, 1},   {1, 5, 1},   {5, 9, 7},    {13, 21, 17}, {37, 3, 65},
-    {3, 64, 2},  {8, 8, 8},   {16, 16, 16}, {64, 64, 64}, {2, 100, 9},
-    {100, 2, 3}, {9, 7, 100}, {48, 48, 48}, {8, 1, 8},    {16, 1, 17},
-    {8, 8, 7},   {9, 5, 9},   {24, 24, 17}, {0, 3, 4},    {3, 0, 4},
-    {3, 4, 0},
+    {1, 1, 1},     {1, 5, 1},     {5, 9, 7},     {13, 21, 17}, {37, 3, 65},
+    {3, 64, 2},    {8, 8, 8},     {16, 16, 16},  {64, 64, 64}, {2, 100, 9},
+    {100, 2, 3},   {9, 7, 100},   {48, 48, 48},  {8, 1, 8},    {16, 1, 17},
+    {8, 8, 7},     {9, 5, 9},     {24, 24, 17},  {0, 3, 4},    {3, 0, 4},
+    {3, 4, 0},     {9, 255, 17},  {8, 256, 8},   {13, 257, 9}, {16, 513, 24},
+    {17, 257, 33}, {40, 513, 12},
 };
 
 TEST(KernelEquivalenceTest, MatMulBitIdenticalToNaive) {
@@ -151,6 +155,40 @@ TEST(KernelEquivalenceTest, MatMulTransABitIdenticalToNaive) {
                          "MatMulTransA");
     }
   });
+}
+
+// The conv weight gradient MatMulTransA(grad [M, c_out], columns
+// [M, patch]) of every PPN conv at the paper's batch (B=32: M = B·m·k =
+// 11520 rows for the TCCB convs, B·m = 384 for Conv4) and at B=1. At
+// B=32 c_out is one or two row blocks, so the OpenMP branch has only the
+// column tiles to split and the k-chunk loop runs 2-45 times.
+TEST(KernelEquivalenceTest, ConvWeightGradientShapesBitIdenticalToNaive) {
+  constexpr int64_t kAssets = 12, kWindow = 30;
+  struct WeightGrad {
+    int64_t c_out, patch, rows_per_image;
+  };
+  const WeightGrad convs[] = {
+      {8, 12, kAssets * kWindow},   // TCCB1 dconv1: 4 ch x 1x3
+      {8, 24, kAssets * kWindow},   // TCCB1 dconv2
+      {8, 96, kAssets * kWindow},   // TCCB1 cconv: 8 ch x 12x1
+      {16, 24, kAssets * kWindow},  // TCCB2 dconv1
+      {16, 48, kAssets * kWindow},  // TCCB2/3 dconv2, TCCB3 dconv1
+      {16, 192, kAssets * kWindow}, // TCCB2/3 cconv
+      {16, 480, kAssets},           // Conv4: 16 ch x 1x30, VALID
+  };
+  for (const int64_t batch : {32, 1}) {
+    for (const WeightGrad& conv : convs) {
+      const int64_t k = batch * conv.rows_per_image;
+      Tensor grad = TestMatrix(k, conv.c_out, 1000 + conv.patch);
+      Tensor columns = TestMatrix(k, conv.patch, 2000 + conv.patch);
+      const Tensor want = NaiveMatMulTransA(grad, columns);
+      ForEachPath([&](const char* path) {
+        SCOPED_TRACE(testing::Message() << path << " B=" << batch << " c_out="
+                                        << conv.c_out << " patch=" << conv.patch);
+        ExpectBitIdentical(MatMulTransA(grad, columns), want, "weight grad");
+      });
+    }
+  }
 }
 
 TEST(KernelEquivalenceTest, MatMulTransBBitIdenticalToNaive) {
@@ -291,9 +329,8 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
   }
 }
 
-// Row reductions and the conv lowering across paths, including odd
-// column tails and the dilated causal geometry the paper's network uses.
-TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
+// Row reductions across paths, including odd column tails.
+TEST(KernelEquivalenceTest, RowKernelsBitIdenticalAcrossPaths) {
   for (const int64_t n : {1LL, 7LL, 8LL, 9LL, 17LL, 100LL}) {
     Tensor a = TestMatrix(13, n, 50 + n);
     Tensor b = TestMatrix(1, n, 90 + n).Reshaped({n});
@@ -315,17 +352,113 @@ TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
       ExpectBitIdentical(AddRowVector(a, b), want_arv, "AddRowVector");
     });
   }
-  // Im2Col/Col2Im: dilated causal time conv (kernel 1x3, dilation 2,
-  // left pad 4 — boundary AND interior gather pixels) plus a symmetric
-  // 3x3. Compare both paths against the scalar table directly.
+}
+
+// Reference conv lowering: the bounds-checked loops the range-clamped
+// kernels replaced. Every tap checks its input coordinate; out-of-bounds
+// taps read +0 (im2col) or are skipped (col2im). Col2Im scatters in the
+// reference order: output pixels in raster order, then (ch, ky, kx).
+
+Tensor NaiveIm2Col(const Tensor& input, const Conv2dGeometry& g) {
+  const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
+                w = input.dim(3);
+  const int64_t out_h = g.OutH(h), out_w = g.OutW(w);
+  Tensor columns =
+      Tensor::Uninitialized({n * out_h * out_w, c * g.kernel_h * g.kernel_w});
+  float* col = columns.MutableData();
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t oy = 0; oy < out_h; ++oy) {
+      for (int64_t ox = 0; ox < out_w; ++ox) {
+        for (int64_t ch = 0; ch < c; ++ch) {
+          for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+            const int64_t in_y = oy - g.pad_top + ky * g.dilation_h;
+            for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
+              const int64_t in_x = ox - g.pad_left + kx * g.dilation_w;
+              float value = 0.0f;
+              if (in_y >= 0 && in_y < h && in_x >= 0 && in_x < w) {
+                value = input.Data()[((b * c + ch) * h + in_y) * w + in_x];
+              }
+              *col++ = value;
+            }
+          }
+        }
+      }
+    }
+  }
+  return columns;
+}
+
+Tensor NaiveCol2Im(const Tensor& columns, const std::vector<int64_t>& shape,
+                   const Conv2dGeometry& g) {
+  const int64_t n = shape[0], c = shape[1], h = shape[2], w = shape[3];
+  const int64_t out_h = g.OutH(h), out_w = g.OutW(w);
+  Tensor image(shape);
+  const float* col = columns.Data();
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t oy = 0; oy < out_h; ++oy) {
+      for (int64_t ox = 0; ox < out_w; ++ox) {
+        for (int64_t ch = 0; ch < c; ++ch) {
+          for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+            const int64_t in_y = oy - g.pad_top + ky * g.dilation_h;
+            for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
+              const int64_t in_x = ox - g.pad_left + kx * g.dilation_w;
+              const float value = *col++;
+              if (in_y >= 0 && in_y < h && in_x >= 0 && in_x < w) {
+                image.MutableData()[((b * c + ch) * h + in_y) * w + in_x] +=
+                    value;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return image;
+}
+
+// Uniform values with -0, NaN and `inf` sprinkled in, so a wrong padding
+// value (+0 versus -0) or a dropped add shows in the bits. One Inf sign
+// per tensor: Inf + -Inf makes a NaN of the other sign, and which of two
+// NaNs an add returns depends on the operand order the compiler picks.
+Tensor WithSpecials(const std::vector<int64_t>& shape, uint64_t seed,
+                    float inf) {
+  Rng rng(seed);
+  Tensor t = RandomUniform(shape, -2.0f, 2.0f, &rng);
+  const float specials[] = {-0.0f, kQNaN, inf};
+  float* p = t.MutableData();
+  for (int64_t i = 0; i < t.numel(); i += 11) p[i] = specials[(i / 11) % 3];
+  return t;
+}
+
+// Every PPN conv geometry on a [B, C, m, k=30] input: the causal time
+// convs (1x3, dilations 1/2/4), the correlational conv (kernel_h = m,
+// SAME, for odd and even m), Conv4 (1x30 VALID) and the pointwise
+// decision conv; plus a padded 3x3 (boundaries on both axes at both
+// ends) and an over-padded dilated conv whose first pixels have no
+// in-bounds tap at all. B=24 takes the OpenMP branch where the geometry
+// is big enough.
+TEST(KernelEquivalenceTest, ConvLoweringBitIdenticalToNaive) {
   struct Geo {
-    Conv2dGeometry g;
     const char* label;
+    int64_t assets;
+    Conv2dGeometry g;
   };
-  Conv2dGeometry causal;
-  causal.kernel_w = 3;
-  causal.dilation_w = 2;
-  causal.pad_left = 4;
+  auto causal = [](int64_t dilation) {
+    Conv2dGeometry g;
+    g.kernel_w = 3;
+    g.dilation_w = dilation;
+    g.pad_left = 2 * dilation;
+    return g;
+  };
+  auto correlational = [](int64_t m) {
+    Conv2dGeometry g;
+    g.kernel_h = m;
+    g.pad_top = (m - 1) / 2;
+    g.pad_bottom = (m - 1) - g.pad_top;
+    return g;
+  };
+  Conv2dGeometry conv4;
+  conv4.kernel_w = 30;
   Conv2dGeometry sym;
   sym.kernel_h = 3;
   sym.kernel_w = 3;
@@ -333,40 +466,38 @@ TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
   sym.pad_bottom = 1;
   sym.pad_left = 1;
   sym.pad_right = 1;
-  const Geo geos[] = {{causal, "causal"}, {sym, "3x3"}};
-  Rng rng(7777);
-  Tensor input = RandomUniform({2, 3, 9, 13}, -2.0f, 2.0f, &rng);
-  for (const Geo& geo : geos) {
-    Tensor want_cols;
-    Tensor want_img;
-    {
-      dispatch::ScopedForcePath force(dispatch::SimdPath::kScalar);
-      want_cols = Im2Col(input, geo.g);
-      want_img = Col2Im(want_cols, input.shape(), geo.g);
+  Conv2dGeometry over_padded = causal(4);
+  over_padded.pad_left = 10;
+  const Geo geos[] = {
+      {"causal d=1", 12, causal(1)},
+      {"causal d=2", 12, causal(2)},
+      {"causal d=4", 12, causal(4)},
+      {"correlational m=11", 11, correlational(11)},
+      {"correlational m=12", 12, correlational(12)},
+      {"conv4", 12, conv4},
+      {"pointwise", 12, Conv2dGeometry{}},
+      {"3x3", 12, sym},
+      {"over-padded", 12, over_padded},
+  };
+  for (const float inf : {kInf, -kInf}) {
+    for (const int64_t batch : {2, 24}) {
+      for (const Geo& geo : geos) {
+        const std::vector<int64_t> shape = {batch, 3, geo.assets, 30};
+        const Tensor input = WithSpecials(shape, 7000 + batch, inf);
+        const Tensor want_cols = NaiveIm2Col(input, geo.g);
+        const Tensor grad_cols =
+            WithSpecials(want_cols.shape(), 8000 + batch, inf);
+        const Tensor want_img = NaiveCol2Im(grad_cols, shape, geo.g);
+        ForEachPath([&](const char* path) {
+          SCOPED_TRACE(testing::Message() << path << " " << geo.label << " B="
+                                          << batch << " inf=" << inf);
+          ExpectBitIdentical(Im2Col(input, geo.g), want_cols, "Im2Col");
+          ExpectBitIdentical(Col2Im(grad_cols, shape, geo.g), want_img,
+                             "Col2Im");
+        });
+      }
     }
-    ForEachPath([&](const char* path) {
-      SCOPED_TRACE(testing::Message() << path << " " << geo.label);
-      Tensor cols = Im2Col(input, geo.g);
-      ExpectBitIdentical(cols, want_cols, "Im2Col");
-      ExpectBitIdentical(Col2Im(cols, input.shape(), geo.g), want_img,
-                         "Col2Im");
-    });
   }
-}
-
-// The fused elementwise kernels must match the type-erased API exactly
-// (same functor, same order, just statically dispatched).
-TEST(KernelEquivalenceTest, FusedMapMatchesTypeErasedMap) {
-  Tensor a = TestMatrix(17, 23, 707);
-  auto fn = [](float x) { return std::tanh(x) + 0.5f * x; };
-  ExpectBitIdentical(MapFused(a, fn), Map(a, fn), "MapFused");
-}
-
-TEST(KernelEquivalenceTest, FusedZipMapMatchesTypeErasedZipMap) {
-  Tensor a = TestMatrix(17, 23, 808);
-  Tensor b = TestMatrix(17, 23, 909);
-  auto fn = [](float x, float y) { return x * y + (x > 0.0f ? y : -y); };
-  ExpectBitIdentical(ZipMapFused(a, b, fn), ZipMap(a, b, fn), "ZipMapFused");
 }
 
 // Regression for the seed's `a_ip == 0.0f` skip, which silently dropped

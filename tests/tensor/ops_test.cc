@@ -30,7 +30,7 @@ TEST(ElementwiseTest, ScalarOps) {
 
 TEST(MapTest, AppliesFunction) {
   Tensor a({3}, {1.0f, 4.0f, 9.0f});
-  Tensor r = Map(a, [](float x) { return std::sqrt(x); });
+  Tensor r = MapFused(a, [](float x) { return std::sqrt(x); });
   EXPECT_TRUE(r.AllClose(Tensor({3}, {1.0f, 2.0f, 3.0f})));
 }
 
