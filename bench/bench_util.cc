@@ -90,10 +90,6 @@ BenchContext::~BenchContext() {
   // A bench dtor cannot change the process exit status, but the printed
   // `PPN_HEALTH: PASS|FAIL` token is what run_benches.sh gates on.
   obs::ReportHealthIfRequested();
-  if (obs::WriteProfileIfRequested()) {
-    std::fprintf(stderr, "profile written to %s\n",
-                 env::StringOr("PPN_PROFILE_JSON", "").c_str());
-  }
   if (obs::WriteTraceIfRequested()) {
     std::fprintf(stderr, "trace written to %s (open in ui.perfetto.dev)\n",
                  env::StringOr("PPN_TRACE_JSON", "").c_str());

@@ -36,9 +36,8 @@ class BenchContext {
   explicit BenchContext(std::string title);
 
   /// Stops the periodic stats sampler (if `PPN_STATS_JSONL` started one in
-  /// the constructor), prints the `PPN_HEALTH` verdict when rules are set,
-  /// and writes the merged obs profile to `PPN_PROFILE_JSON` when that
-  /// variable is set (after every spec of the binary has run).
+  /// the constructor; its last line is the binary's whole-run profile)
+  /// and prints the `PPN_HEALTH` verdict when rules are set.
   ~BenchContext();
 
   RunScale scale() const { return scale_; }

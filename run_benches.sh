@@ -2,10 +2,7 @@
 # Runs every bench binary sequentially and records the combined output.
 # Table benches also dump machine-readable per-cell results (one
 # "<slug>.cells.json" per bench) into bench_results/, keyed by the
-# PPN_RESULTS_JSON directory. Each bench additionally runs with
-# PPN_PROFILE_JSON set, so a merged observability profile
-# ("<bench>.profile.json": kernel counters, per-cell wall times, solver
-# iteration stats, reward traces) is archived next to the results JSON.
+# PPN_RESULTS_JSON directory.
 # PPN_WORKERS controls experiment parallelism (default: hardware thread
 # count; 0 forces the serial inline path).
 #
@@ -35,7 +32,9 @@
 #
 # Observability: each bench also runs with PPN_STATS_JSONL set, archiving
 # a periodic ppn.stats.v1 time-series stream ("<bench>.stats.jsonl") next
-# to its profile — inspect live with `ppn_cli top --dir
+# to the results JSON. Its last line ({"total": true, ...}) is the bench's
+# whole-run profile: kernel counters, per-cell wall times, solver
+# iteration stats. Inspect live with `ppn_cli top --dir
 # bench_results/<bench>.stats.jsonl`. SLO gate: when PPN_HEALTH is set
 # (e.g. PPN_HEALTH='exec.cell.seconds.p99<=2s') each bench prints a
 # PPN_HEALTH: PASS|FAIL verdict at exit; any FAIL in the combined output
@@ -59,7 +58,6 @@ gate_status=0
                "/root/repo/bench_results/$name.baseline.json"
             baseline="/root/repo/bench_results/$name.baseline.json"
           fi
-          PPN_PROFILE_JSON="/root/repo/bench_results/$name.profile.json" \
             PPN_STATS_JSONL="/root/repo/bench_results/$name.stats.jsonl" \
             "$b" \
             --benchmark_repetitions="${PPN_BENCH_REPS:-3}" \
@@ -83,7 +81,6 @@ gate_status=0
           fi
           ;;
         *)
-          PPN_PROFILE_JSON="/root/repo/bench_results/$name.profile.json" \
             PPN_STATS_JSONL="/root/repo/bench_results/$name.stats.jsonl" \
             "$b"
           ;;

@@ -20,8 +20,6 @@ const VarInfo kRegistry[] = {
      "Run scale for presets and examples: smoke | quick | full"},
     {"PPN_OBS", "flag", "off",
      "Force the obs layer on (any value but \"0\") without a sink path"},
-    {"PPN_PROFILE_JSON", "path", "unset",
-     "Write an aggregated obs profile snapshot to this path at exit"},
     {"PPN_TRACE_JSON", "path", "unset",
      "Write a Chrome trace-event timeline to this path at exit"},
     {"PPN_TRACE_CAPACITY", "int", "65536",
@@ -31,8 +29,9 @@ const VarInfo kRegistry[] = {
     {"PPN_RUNLOG_DIR", "path", "unset",
      "Directory for streaming per-step run logs (one JSONL per run)"},
     {"PPN_STATS_JSONL", "path", "unset",
-     "Stream periodic ppn.stats.v1 registry samples to this JSONL path "
-     "(fabric workers get per-worker redirected streams)"},
+     "Stream periodic ppn.stats.v1 registry samples to this JSONL path; "
+     "the last line is the whole-run profile (fabric workers get "
+     "per-worker redirected streams)"},
     {"PPN_SAMPLE_MS", "int", "250",
      "Stats sampler window in milliseconds (must be >= 1)"},
     {"PPN_HEALTH", "rules", "unset",

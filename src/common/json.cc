@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -384,6 +386,35 @@ class Parser {
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
   PPN_CHECK(out != nullptr);
   return Parser(text).Parse(out, error);
+}
+
+std::string JsonEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buffer[8];
+      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buffer;
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+void AppendJsonNumber(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    *out += "null";
+    return;
+  }
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  *out += buffer;
 }
 
 }  // namespace ppn

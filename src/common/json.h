@@ -12,7 +12,9 @@
 /// writes, and the test suite uses it to validate exporter output. It is a
 /// strict recursive-descent parser over the full JSON grammar (objects,
 /// arrays, strings with escapes, numbers, booleans, null) — not a
-/// streaming parser; inputs here are at most a few MB.
+/// streaming parser; inputs here are at most a few MB. The two writer
+/// helpers below are shared by every exporter, so what one writes the
+/// parser always reads back.
 
 namespace ppn {
 
@@ -71,6 +73,15 @@ class JsonValue {
 /// describes the first offending byte and its offset.
 bool ParseJson(std::string_view text, JsonValue* out,
                std::string* error = nullptr);
+
+/// Escapes `text` for use inside a JSON string literal: `"` and `\` are
+/// backslash-escaped and every control character below 0x20 becomes
+/// `\u00XX`, so any byte string survives a `ParseJson` round trip.
+std::string JsonEscape(std::string_view text);
+
+/// Appends `value` as `%.17g` (every finite double round-trips bit-exactly
+/// through `ParseJson`), or `null` for NaN/±Inf, which JSON cannot hold.
+void AppendJsonNumber(std::string* out, double value);
 
 }  // namespace ppn
 

@@ -14,6 +14,7 @@
 #include "ckpt/state_io.h"
 #include "common/atomic_file.h"
 #include "common/check.h"
+#include "common/json.h"
 #include "exec/thread_pool.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -46,16 +47,6 @@ uint64_t Finalize(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 /// Shortest-exact decimal rendering is not needed here; %.17g is enough

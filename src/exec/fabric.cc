@@ -20,7 +20,6 @@
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/env.h"
-#include "common/json.h"
 #include "common/parse.h"
 #include "obs/sampler.h"
 #include "obs/stats.h"
@@ -264,12 +263,12 @@ ExecImage BuildExecImage(const FabricOptions& options,
   // overrides: fault knobs reach only first-generation workers (a
   // replacement must not re-die on the same injected fault), and obs sink
   // paths are redirected per worker so children never clobber the
-  // coordinator's own profile/trace files.
+  // coordinator's own stats/trace files.
   // PPN_HEALTH stays coordinator-only: a worker tripping a health rule
   // would exit nonzero and read as a death, burning the restart budget
   // for an SLO miss; the coordinator judges health on the merged view.
-  std::set<std::string> drop = {"PPN_PROFILE_JSON", "PPN_TRACE_JSON",
-                                "PPN_STATS_JSONL", "PPN_HEALTH"};
+  std::set<std::string> drop = {"PPN_TRACE_JSON", "PPN_STATS_JSONL",
+                                "PPN_HEALTH"};
   if (gen > 0) {
     drop.insert("PPN_FABRIC_TEST_KILL_AFTER");
     drop.insert("PPN_FABRIC_TEST_HANG_AFTER");
@@ -282,22 +281,18 @@ ExecImage BuildExecImage(const FabricOptions& options,
     }
     image.env_storage.push_back(entry);
   }
+  // With obs on, every worker streams its own stats: the stream's `total`
+  // line is what the coordinator folds into its registry at assembly.
   char name[64];
   if (obs::Enabled()) {
-    std::snprintf(name, sizeof(name), "worker-%d.g%d.profile.json", slot, gen);
+    std::snprintf(name, sizeof(name), "worker-%d.g%d.stats.jsonl", slot, gen);
     image.env_storage.push_back(
-        "PPN_PROFILE_JSON=" +
-        (fs::path(fabric_dir) / "obs" / name).string());
+        "PPN_STATS_JSONL=" + (fs::path(fabric_dir) / "obs" / name).string());
   }
   if (env::HasValue("PPN_TRACE_JSON")) {
     std::snprintf(name, sizeof(name), "worker-%d.g%d.trace.json", slot, gen);
     image.env_storage.push_back(
         "PPN_TRACE_JSON=" + (fs::path(fabric_dir) / "obs" / name).string());
-  }
-  if (env::HasValue("PPN_STATS_JSONL")) {
-    std::snprintf(name, sizeof(name), "worker-%d.g%d.stats.jsonl", slot, gen);
-    image.env_storage.push_back(
-        "PPN_STATS_JSONL=" + (fs::path(fabric_dir) / "obs" / name).string());
   }
 
   for (std::string& arg : image.argv_storage) {
@@ -334,41 +329,32 @@ pid_t SpawnWorker(const FabricOptions& options, const std::string& fabric_dir,
   return pid;
 }
 
-// ------------------------------------------------- profile merging ----
+// --------------------------------------------------- stats merging ----
 
-/// Folds one worker profile JSON into the coordinator's obs registry:
-/// counters add, gauges take the max — the same merge semantics the
-/// per-thread shards use in-process, lifted across processes. Histogram
-/// and trace detail stays in the per-worker files (log2 buckets cannot
-/// be re-observed exactly). False when the profile cannot be read or
-/// parsed — the caller counts it (`exec.fabric.profile_merge_failed`)
-/// and surfaces it in the sweep summary; a silently dropped profile
-/// understates the merged counters with no trace in the results.
-bool MergeWorkerProfile(const std::string& path) {
-  std::string text;
-  if (!ReadFileToString(path, &text)) {
-    std::fprintf(stderr, "[fabric] skipping unreadable profile %s\n",
-                 path.c_str());
-    return false;
-  }
-  JsonValue root;
+/// Folds the `total` line of one worker's stats stream into the
+/// coordinator's obs registry: counters add, gauges take the max — the
+/// same merge semantics the per-thread shards use in-process, lifted
+/// across processes. Histogram detail stays in the per-worker streams
+/// (log2 buckets cannot be re-observed exactly). A stream without a
+/// total line (a SIGKILLed worker) is skipped. False when the stream
+/// cannot be read or is not a stats stream — the caller counts it
+/// (`exec.fabric.stats_merge_failed`) and surfaces it in the sweep
+/// summary; a silently dropped stream understates the merged counters
+/// with no trace in the results.
+bool MergeWorkerStats(const std::string& path) {
+  obs::StatsStream stream;
   std::string error;
-  if (!ParseJson(text, &root, &error) || !root.is_object()) {
-    std::fprintf(stderr, "[fabric] skipping unreadable profile %s: %s\n",
-                 path.c_str(), error.c_str());
+  if (!obs::ReadStatsStream(path, &stream, &error)) {
+    std::fprintf(stderr, "[fabric] skipping unreadable stats stream: %s\n",
+                 error.c_str());
     return false;
   }
-  const JsonValue* counters = root.Find("counters");
-  if (counters != nullptr && counters->is_object()) {
-    for (const auto& [name, value] : counters->AsObject()) {
-      if (value.is_number()) obs::GetCounter(name).Add(value.AsNumber());
-    }
+  if (!stream.total) return true;
+  for (const auto& [name, value] : stream.total->counters) {
+    obs::GetCounter(name).Add(value);
   }
-  const JsonValue* gauges = root.Find("gauges");
-  if (gauges != nullptr && gauges->is_object()) {
-    for (const auto& [name, value] : gauges->AsObject()) {
-      if (value.is_number()) obs::GetGauge(name).UpdateMax(value.AsNumber());
-    }
+  for (const auto& [name, value] : stream.total->gauges) {
+    obs::GetGauge(name).UpdateMax(value);
   }
   return true;
 }
@@ -970,7 +956,9 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
   }
 
   // Merge per-worker telemetry into this process: status files (always
-  // written on clean exits) and, when profiling is on, profile JSONs.
+  // written on clean exits) and, when obs is on, each stats stream's
+  // `total` line.
+  std::vector<std::string> worker_streams;
   for (const std::string& name :
        ListDirSorted((fs::path(dir) / "obs").string())) {
     const std::string path = (fs::path(dir) / "obs" / name).string();
@@ -985,9 +973,12 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
         // authoritative count; status files only catch markers lost to
         // a mid-rename kill.
       }
-    } else if (obs::Enabled() && name.rfind(".profile.json") ==
-                                     name.size() - 13) {
-      if (!MergeWorkerProfile(path)) ++stats.profile_merge_failed;
+    } else if (name.rfind("worker-", 0) == 0 && name.size() > 12 &&
+               name.compare(name.size() - 12, 12, ".stats.jsonl") == 0) {
+      worker_streams.push_back(path);
+      if (obs::Enabled() && !MergeWorkerStats(path)) {
+        ++stats.stats_merge_failed;
+      }
     }
   }
   if (obs::Enabled()) {
@@ -1005,8 +996,8 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
         .Add(static_cast<double>(stats.queue_corrupt));
     obs::GetCounter("exec.fabric.ckpt_write_failed")
         .Add(static_cast<double>(stats.ckpt_write_failures));
-    obs::GetCounter("exec.fabric.profile_merge_failed")
-        .Add(static_cast<double>(stats.profile_merge_failed));
+    obs::GetCounter("exec.fabric.stats_merge_failed")
+        .Add(static_cast<double>(stats.stats_merge_failed));
   }
   if (stats_out != nullptr) *stats_out = stats;
   PPN_CHECK(abort_reason.empty())
@@ -1042,35 +1033,22 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
                    merge_error.c_str());
     }
   }
-  if (env::HasValue("PPN_STATS_JSONL")) {
-    std::vector<std::string> streams;
-    for (const std::string& name :
-         ListDirSorted((fs::path(dir) / "obs").string())) {
-      const std::string suffix = ".stats.jsonl";
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(),
-                       suffix) == 0 &&
-          name != "merged.stats.jsonl") {  // a prior merge's own output
-        streams.push_back((fs::path(dir) / "obs" / name).string());
-      }
-    }
-    if (!streams.empty()) {
-      const std::string merged =
-          (fs::path(dir) / "obs" / "merged.stats.jsonl").string();
-      std::string merge_error;
-      if (obs::MergeStatsStreams(streams, merged, &merge_error)) {
-        const std::string persist =
-            env::StringOr("PPN_STATS_JSONL", "") + ".workers.jsonl";
-        std::error_code copy_ec;
-        fs::copy_file(merged, persist, fs::copy_options::overwrite_existing,
-                      copy_ec);
-        std::fprintf(stderr, "[fabric] merged %zu worker stats streams -> %s\n",
-                     streams.size(),
-                     copy_ec ? merged.c_str() : persist.c_str());
-      } else {
-        std::fprintf(stderr, "[fabric] stats stream merge failed: %s\n",
-                     merge_error.c_str());
-      }
+  if (env::HasValue("PPN_STATS_JSONL") && !worker_streams.empty()) {
+    const std::string merged =
+        (fs::path(dir) / "obs" / "merged.stats.jsonl").string();
+    std::string merge_error;
+    if (obs::MergeStatsStreams(worker_streams, merged, &merge_error)) {
+      const std::string persist =
+          env::StringOr("PPN_STATS_JSONL", "") + ".workers.jsonl";
+      std::error_code copy_ec;
+      fs::copy_file(merged, persist, fs::copy_options::overwrite_existing,
+                    copy_ec);
+      std::fprintf(stderr, "[fabric] merged %zu worker stats streams -> %s\n",
+                   worker_streams.size(),
+                   copy_ec ? merged.c_str() : persist.c_str());
+    } else {
+      std::fprintf(stderr, "[fabric] stats stream merge failed: %s\n",
+                   merge_error.c_str());
     }
   }
 

@@ -30,8 +30,7 @@
 ///   failed/T<index>.a<k>.s<slot>.g<gen>.fail   checkpoint commit failed
 ///   corrupt/<name>.corrupt                     unreadable/mismatched task
 ///   cells/cell-<seed>.ckpt                     the ONLY result state
-///   obs/worker-<slot>.g<gen>.{log,status,profile.json,trace.json,
-///                              stats.jsonl}
+///   obs/worker-<slot>.g<gen>.{log,status,trace.json,stats.jsonl}
 ///   obs/{coordinator.trace.json,merged.trace.json,merged.stats.jsonl}
 ///                                              written at assembly when
 ///                                              tracing/sampling is on
@@ -72,14 +71,18 @@
 ///
 /// Observability: `exec.fabric.*` counters (workers spawned / died /
 /// restarted, cells stolen / re-dispatched, corrupt queue files, failed
-/// checkpoint writes, profiles dropped unmerged), per-worker console
-/// logs, and — when obs is on — per-worker profile JSONs whose counters
-/// and gauges are merged into the coordinator's registry so one report
-/// covers the whole sweep. With `PPN_TRACE_JSON` set, the assembly also
-/// stitches the coordinator's and every worker generation's Chrome
-/// traces into one Perfetto timeline (obs/trace_merge.h), copied to
-/// `$PPN_TRACE_JSON.merged.json`; with `PPN_STATS_JSONL` set, per-worker
-/// `ppn.stats.v1` streams are merged to `$PPN_STATS_JSONL.workers.jsonl`.
+/// checkpoint writes, unreadable worker stats streams), per-worker
+/// console logs, and — when obs is on — one `ppn.stats.v1` stream per
+/// worker (`obs/worker-<slot>.g<gen>.stats.jsonl`). At assembly the
+/// coordinator folds each stream's `total` line into its own registry
+/// (counters add, gauges take the max), so one report covers the whole
+/// sweep; a stream without a total line (a SIGKILLed worker) is skipped.
+/// With `PPN_TRACE_JSON` set, the assembly also stitches the
+/// coordinator's and every worker generation's Chrome traces into one
+/// Perfetto timeline (obs/trace_merge.h), copied to
+/// `$PPN_TRACE_JSON.merged.json`; with `PPN_STATS_JSONL` set on the
+/// coordinator, the worker streams are also merged to
+/// `$PPN_STATS_JSONL.workers.jsonl`.
 
 namespace ppn::exec {
 
@@ -94,7 +97,7 @@ struct FabricStats {
   int64_t queue_corrupt = 0;       ///< Corrupt task files recovered.
   int64_t ckpt_write_failures = 0; ///< Worker-side failed cell commits.
   int64_t cells_restored = 0;      ///< Loaded from pre-existing ckpts.
-  int64_t profile_merge_failed = 0;  ///< Worker profiles dropped unmerged.
+  int64_t stats_merge_failed = 0;  ///< Worker streams unreadable.
 };
 
 struct FabricOptions {

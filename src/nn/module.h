@@ -10,9 +10,9 @@
 
 /// \file
 /// Base class for neural-network layers: a tree of modules with a recursive
-/// parameter registry, a shared training/eval flag, and parameter
-/// serialization — binary (exact bits, used by checkpoints) and a legacy
-/// text format.
+/// parameter registry, a shared training/eval flag, and exact binary
+/// parameter serialization (wrapped in a checkpoint file for both
+/// training snapshots and saved weights).
 
 namespace ppn::nn {
 
@@ -48,7 +48,7 @@ class Module {
 
   /// Serializes every named parameter (name, size, raw float32 payload)
   /// into `writer`. Exact: NaN/±Inf and all finite values round-trip
-  /// bit-for-bit, unlike the text format.
+  /// bit-for-bit.
   void SaveState(ckpt::BinWriter* writer) const;
 
   /// Restores parameters written by `SaveState`. The module tree must
@@ -57,18 +57,6 @@ class Module {
   /// module is only partially updated on failure — callers treat a failed
   /// load as fatal for the target module.
   bool LoadState(ckpt::BinReader* reader, std::string* error);
-
-  /// Writes all parameters to a text file (atomically: temp + rename).
-  /// Returns false on IO failure. Prefer the binary `SaveState` path for
-  /// checkpoints; this human-readable dump loses no values (non-finite
-  /// tokens included) but rounds to 9 significant digits.
-  bool SaveParameters(const std::string& path) const;
-
-  /// Loads parameters written by `SaveParameters`. The module tree must
-  /// have the same named shapes. Returns false on IO/shape mismatch.
-  /// Accepts the non-finite tokens (`nan`, `inf`, `-inf`) the writer
-  /// emits.
-  bool LoadParameters(const std::string& path);
 
   /// Copies parameter values elementwise from `source`, which must have an
   /// identically shaped parameter list (used for target networks in DDPG).

@@ -2,10 +2,9 @@
 
 #ifndef PPN_OBS_DISABLED
 
-#include <cmath>
-#include <cstdio>
 #include <utility>
 
+#include "common/json.h"
 #include "obs/stats.h"
 
 namespace ppn::obs {
@@ -17,48 +16,17 @@ namespace {
 /// back-pressures the producer instead of ballooning memory.
 constexpr size_t kQueueCapacity = 1024;
 
-/// %.17g round-trips every finite double exactly (JSON has no infinities;
-/// they never occur in these records, but degrade to null defensively).
-void AppendDouble(std::string* out, double value) {
-  char buffer[40];
-  if (std::isfinite(value)) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "null");
-  }
-  *out += buffer;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string FormatHeader(const RunLogMeta& meta) {
   std::string line = "{\"schema\": \"ppn.runlog.v1\"";
   line += ", \"run\": \"" + JsonEscape(meta.run_id) + "\"";
   line += ", \"strategy\": \"" + JsonEscape(meta.strategy) + "\"";
   line += ", \"dataset\": \"" + JsonEscape(meta.dataset) + "\"";
   line += ", \"gamma\": ";
-  AppendDouble(&line, meta.gamma);
+  AppendJsonNumber(&line, meta.gamma);
   line += ", \"lambda\": ";
-  AppendDouble(&line, meta.lambda);
+  AppendJsonNumber(&line, meta.lambda);
   line += ", \"cost_rate\": ";
-  AppendDouble(&line, meta.cost_rate);
+  AppendJsonNumber(&line, meta.cost_rate);
   line += ", \"seed\": " + std::to_string(meta.seed);
   line += ", \"steps\": " + std::to_string(meta.steps);
   line += "}\n";
@@ -81,7 +49,7 @@ std::string FormatRecord(const RunLogRecord& record) {
     line += ", \"";
     line += name;
     line += "\": ";
-    AppendDouble(&line, value);
+    AppendJsonNumber(&line, value);
   }
   line += "}\n";
   return line;

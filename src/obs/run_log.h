@@ -16,10 +16,10 @@
 /// training step's scalars — the cost-sensitive reward total and its
 /// λ-variance / γ-turnover components, gradient norm, PVM staleness,
 /// cost-solver iterations, step wall time — as one JSONL line per step,
-/// one file per experiment cell. This replaces the capped 4-field
-/// `TraceRing` as the substrate for training-dynamics analysis (Table 6
-/// turnover trajectories, Table 7 variance suppression): nothing is
-/// downsampled and nothing wraps.
+/// one file per experiment cell. It is the only per-step channel and the
+/// substrate for training-dynamics analysis (Table 6 turnover
+/// trajectories, Table 7 variance suppression): nothing is downsampled
+/// and nothing wraps.
 ///
 /// Architecture: `Append` pushes onto a bounded in-memory queue and a
 /// background writer thread formats and streams the records, so the

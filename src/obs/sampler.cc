@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -22,39 +21,6 @@
 #include "common/json.h"
 
 namespace ppn::obs {
-
-namespace {
-
-void AppendDouble(std::string* out, double value) {
-  char buffer[40];
-  if (std::isfinite(value)) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "null");
-  }
-  *out += buffer;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Stream readers — always compiled (only need common/json).
@@ -130,7 +96,13 @@ bool ReadStatsStream(const std::string& path, StatsStream* out,
         }
       }
     }
-    out->samples.push_back(std::move(sample));
+    // The whole-run line is kept apart so window consumers never see it.
+    const JsonValue* total = value.Find("total");
+    if (total != nullptr && total->is_bool() && total->AsBool()) {
+      out->total = std::move(sample);
+    } else {
+      out->samples.push_back(std::move(sample));
+    }
   }
   return true;
 }
@@ -169,7 +141,7 @@ bool MergeStatsStreams(const std::vector<std::string>& inputs,
       double t_ms = value.NumberOr("t_ms", 0.0);
       double t_unix_ms = static_cast<double>(parsed.start_unix_ms) + t_ms;
       std::string text = prefix + ", \"t_unix_ms\": ";
-      AppendDouble(&text, t_unix_ms);
+      AppendJsonNumber(&text, t_unix_ms);
       std::string rest = line.substr(open + 1);
       size_t body = rest.find_first_not_of(" \t");
       if (body == std::string::npos || rest[body] == '}') {
@@ -293,18 +265,17 @@ void AppendHistogram(std::string* out, const HistogramSnapshot& hist) {
     *out += ", \"";
     *out += name;
     *out += "\": ";
-    AppendDouble(out, value);
+    AppendJsonNumber(out, value);
   }
   *out += "}";
 }
 
-std::string FormatSample(const Snapshot& window, double t_ms,
-                         double window_ms,
+/// Renders one stream line: `head` (the leading fields, e.g. `"t_ms": 5`),
+/// then the view's counters, gauges and histograms, then any evaluated
+/// health verdicts.
+std::string FormatSample(const std::string& head, const Snapshot& window,
                          const std::vector<HealthEval>& evals) {
-  std::string line = "{\"t_ms\": ";
-  AppendDouble(&line, t_ms);
-  line += ", \"window_ms\": ";
-  AppendDouble(&line, window_ms);
+  std::string line = "{" + head;
   if (!window.counters.empty()) {
     line += ", \"counters\": {";
     bool sep = false;
@@ -312,7 +283,7 @@ std::string FormatSample(const Snapshot& window, double t_ms,
       if (sep) line += ", ";
       sep = true;
       line += "\"" + JsonEscape(name) + "\": ";
-      AppendDouble(&line, value);
+      AppendJsonNumber(&line, value);
     }
     line += "}";
   }
@@ -323,7 +294,7 @@ std::string FormatSample(const Snapshot& window, double t_ms,
       if (sep) line += ", ";
       sep = true;
       line += "\"" + JsonEscape(name) + "\": ";
-      AppendDouble(&line, value);
+      AppendJsonNumber(&line, value);
     }
     line += "}";
   }
@@ -352,7 +323,7 @@ std::string FormatSample(const Snapshot& window, double t_ms,
       line += "{\"rule\": \"" + JsonEscape(eval.rule->raw) + "\", \"ok\": ";
       line += eval.ok ? "true" : "false";
       line += ", \"value\": ";
-      AppendDouble(&line, eval.value);
+      AppendJsonNumber(&line, eval.value);
       line += "}";
     }
     line += "]";
@@ -428,10 +399,22 @@ struct StatsSampler::Impl {
     }
     double t_ms =
         std::chrono::duration<double, std::milli>(now - start).count();
-    double window_ms = t_ms - last_t_ms;
+    std::string head = "\"t_ms\": ";
+    AppendJsonNumber(&head, t_ms);
+    head += ", \"window_ms\": ";
+    AppendJsonNumber(&head, t_ms - last_t_ms);
     last_t_ms = t_ms;
-    Enqueue(FormatSample(window, t_ms, window_ms, evals));
+    Enqueue(FormatSample(head, window, evals));
     prev = std::move(cur);
+  }
+
+  /// The whole-run line: the last snapshot viewed from an empty one, i.e.
+  /// cumulative counters, gauge watermarks and histograms with exact
+  /// min/max. Health is judged elsewhere (per window and at exit).
+  void EmitTotal() {
+    std::string head = "\"total\": true, \"t_ms\": ";
+    AppendJsonNumber(&head, last_t_ms);
+    Enqueue(FormatSample(head, WindowView(Snapshot{}, prev), {}));
   }
 
   void SamplingLoop() {
@@ -447,6 +430,7 @@ struct StatsSampler::Impl {
     }
     // Final (usually partial) window: short runs still get >= 1 sample.
     SampleOnce(std::chrono::steady_clock::now());
+    EmitTotal();
   }
 
   void WriterLoop() {

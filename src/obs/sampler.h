@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,11 +16,13 @@
 /// snapshots every `PPN_SAMPLE_MS` milliseconds and appends one JSON line
 /// per window to an append-only `ppn.stats.v1` stream, giving every
 /// long-running process (trainers, `ppn_cli serve`, fabric workers,
-/// benches) a live, tailable view instead of one end-of-run aggregate.
+/// benches) a live, tailable view. The stream is the process's only
+/// metrics file: its last line is the end-of-run profile.
 ///
 /// ## Stream format (`ppn.stats.v1`)
 ///
-/// Line 1 is a header object; every subsequent line is one sample window:
+/// Line 1 is a header object; every subsequent line but the last is one
+/// sample window, and the last is the whole-run `total` line:
 ///
 ///   {"schema": "ppn.stats.v1", "process": "serve", "sample_ms": 250,
 ///    "start_unix_ms": 1754650000123}
@@ -30,6 +33,9 @@
 ///              {"count": 1210, "mean": 0.0011, "min": 0.0002,
 ///               "max": 0.004, "p50": 0.0009, "p95": 0.002, "p99": 0.003}},
 ///    "health": [{"rule": "...p99<5ms", "ok": true, "value": 0.003}]}
+///   {"total": true, "t_ms": 1210.4,
+///    "counters": {"serve.decisions": 48400}, "gauges": {...},
+///    "hists": {"serve.decide.latency.seconds": {"count": 48400, ...}}}
 ///
 ///   - `t_ms` is MONOTONIC (steady-clock milliseconds since sampler
 ///     start); `start_unix_ms` in the header anchors it to wall time so
@@ -44,6 +50,13 @@
 ///     evaluated against the WINDOW view (so a latency rule reads the
 ///     rolling percentile). Violations also tally into the monitor
 ///     consumed by the end-of-run summary.
+///   - The `total` line is written by `Stop`, right after the final
+///     window, from the same registry snapshot: cumulative counters
+///     (exactly `TakeSnapshot()`'s doubles; zeros omitted), gauge
+///     watermarks, and whole-run histograms with exact min/max and
+///     `HistogramSnapshot::Percentile` p50/p95/p99. It carries no
+///     `window_ms` and no `health` (exit-time health is judged on the
+///     registry). A stream without it was cut short (e.g. SIGKILL).
 ///   - Doubles print as `%.17g`, so a parse→reprint round trip through
 ///     `common/json` is bit-exact.
 ///
@@ -77,8 +90,9 @@ class StatsSampler {
   static std::unique_ptr<StatsSampler> Start(const SamplerOptions& options);
 
   /// Stops with a final window sample (so even sub-window runs emit at
-  /// least one line), drains the queue, and closes the stream. Returns
-  /// false if any write failed. Idempotent; the destructor calls it.
+  /// least one line) and the whole-run `total` line, drains the queue,
+  /// and closes the stream. Returns false if any write failed.
+  /// Idempotent; the destructor calls it.
   bool Stop();
 
   ~StatsSampler();
@@ -137,12 +151,14 @@ struct StatsSample {
   int health_failed = 0;
 };
 
-/// One parsed stream: header + samples.
+/// One parsed stream: header, window samples, and the `total` line
+/// (absent when the writer never reached `Stop`).
 struct StatsStream {
   std::string process;
   int64_t sample_ms = 0;
   int64_t start_unix_ms = 0;
-  std::vector<StatsSample> samples;
+  std::vector<StatsSample> samples;  ///< Windows only, in stream order.
+  std::optional<StatsSample> total;  ///< Cumulative counters, not deltas.
 };
 
 /// Parses a `ppn.stats.v1` file. False (with `*error`) when the file is
@@ -151,11 +167,12 @@ struct StatsStream {
 bool ReadStatsStream(const std::string& path, StatsStream* out,
                      std::string* error = nullptr);
 
-/// Merges several streams into one: every sample line is re-emitted with
-/// `"process"` and a wall-clock `"t_unix_ms"` sort key stamped in front
-/// of its original (byte-identical) payload, merge-sorted by that global
-/// time. Inputs that fail to parse are skipped (counted in `*skipped`);
-/// false only when the output cannot be written.
+/// Merges several streams into one: every sample line, the `total` line
+/// included, is re-emitted with `"process"` and a wall-clock
+/// `"t_unix_ms"` sort key stamped in front of its original
+/// (byte-identical) payload, merge-sorted by that global time. Inputs
+/// that fail to parse are skipped (counted in `*skipped`); false only
+/// when the output cannot be written.
 bool MergeStatsStreams(const std::vector<std::string>& inputs,
                        const std::string& out_path, std::string* error,
                        int* skipped = nullptr);

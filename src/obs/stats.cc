@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
+#include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "common/check.h"
 #include "common/env.h"
@@ -17,11 +16,11 @@ namespace internal {
 
 std::atomic<bool>& EnabledFlag() {
   // First use decides the default from the environment: an explicit
-  // telemetry destination (profile, trace, or run-log) or PPN_OBS != "0"
-  // turns instrumentation on.
+  // telemetry destination (stats stream, trace, or run-log) or
+  // PPN_OBS != "0" turns instrumentation on.
   static std::atomic<bool> flag{[] {
-    for (const char* var : {"PPN_PROFILE_JSON", "PPN_TRACE_JSON",
-                            "PPN_RUNLOG_DIR", "PPN_STATS_JSONL"}) {
+    for (const char* var :
+         {"PPN_STATS_JSONL", "PPN_TRACE_JSON", "PPN_RUNLOG_DIR"}) {
       if (env::HasValue(var)) return true;
     }
     return env::FlagSet("PPN_OBS");
@@ -172,45 +171,6 @@ double HistogramSnapshot::Percentile(double q) const {
   return value;
 }
 
-TraceRing::TraceRing(std::array<std::string, 4> fields, int64_t capacity)
-    : fields_(std::move(fields)), capacity_(capacity) {
-  PPN_CHECK_GT(capacity, 0);
-  ring_.resize(static_cast<size_t>(capacity));
-}
-
-void TraceRing::Append(int64_t step, double v0, double v1, double v2,
-                       double v3) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ring_[static_cast<size_t>(next_)] = TracePoint{step, {v0, v1, v2, v3}};
-  next_ = (next_ + 1) % capacity_;
-  ++total_;
-}
-
-std::vector<TracePoint> TraceRing::Points() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  std::vector<TracePoint> points;
-  const int64_t kept = std::min(total_, capacity_);
-  points.reserve(static_cast<size_t>(kept));
-  // Oldest-first: when the ring has wrapped, the oldest entry sits at
-  // `next_`; before wrapping, at 0.
-  const int64_t start = total_ < capacity_ ? 0 : next_;
-  for (int64_t i = 0; i < kept; ++i) {
-    points.push_back(ring_[static_cast<size_t>((start + i) % capacity_)]);
-  }
-  return points;
-}
-
-int64_t TraceRing::total_appended() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return total_;
-}
-
-void TraceRing::Reset() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  next_ = 0;
-  total_ = 0;
-}
-
 // ---------------------------------------------------------------------------
 // Shards and registry.
 
@@ -224,7 +184,6 @@ struct Shard {
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters;
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges;
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms;
-  std::unordered_map<std::string, std::unique_ptr<TraceRing>> traces;
 };
 
 struct Registry {
@@ -253,17 +212,15 @@ Shard& LocalShard() {
 /// Find-or-create in the local shard. Lookup is lock-free (only the
 /// owner mutates the map); insertion of a NEW name takes the shard lock
 /// to stay ordered with report-time iteration.
-template <typename Cell, typename MapType, typename... MakeArgs>
-Cell& FindOrCreate(MapType Shard::* map, std::string_view name,
-                   MakeArgs&&... make_args) {
+template <typename Cell, typename MapType>
+Cell& FindOrCreate(MapType Shard::* map, std::string_view name) {
   Shard& shard = LocalShard();
   auto& cells = shard.*map;
   const auto it = cells.find(std::string(name));
   if (it != cells.end()) return *it->second;
   std::unique_lock<std::mutex> lock(shard.mutex);
-  auto [inserted, unused] = cells.emplace(
-      std::string(name),
-      std::make_unique<Cell>(std::forward<MakeArgs>(make_args)...));
+  auto [inserted, unused] =
+      cells.emplace(std::string(name), std::make_unique<Cell>());
   return *inserted->second;
 }
 
@@ -279,12 +236,6 @@ Gauge& GetGauge(std::string_view name) {
 
 Histogram& GetHistogram(std::string_view name) {
   return FindOrCreate<Histogram>(&Shard::histograms, name);
-}
-
-TraceRing& GetTraceRing(std::string_view name,
-                        const std::array<std::string, 4>& fields,
-                        int64_t capacity) {
-  return FindOrCreate<TraceRing>(&Shard::traces, name, fields, capacity);
 }
 
 ScopedTimer::ScopedTimer(std::string_view name) {
@@ -333,26 +284,6 @@ Snapshot TakeSnapshot() {
       HistogramAccess::MergeInto(*histogram,
                                  &snapshot.histograms[name]);
     }
-    for (const auto& [name, ring] : shard->traces) {
-      TraceSnapshot& merged = snapshot.traces[name];
-      if (merged.points.empty() && merged.total_appended == 0) {
-        merged.fields = ring->fields();
-      }
-      merged.total_appended += ring->total_appended();
-      const std::vector<TracePoint> points = ring->Points();
-      merged.points.insert(merged.points.end(), points.begin(), points.end());
-    }
-  }
-  // Same-named rings on several threads concatenate in shard-registration
-  // order, which follows thread start order — not deterministic. Sort by
-  // step AND values so equal-step points also land in a fixed order and
-  // profile files diff cleanly across runs and worker counts.
-  for (auto& [name, trace] : snapshot.traces) {
-    std::sort(trace.points.begin(), trace.points.end(),
-              [](const TracePoint& a, const TracePoint& b) {
-                if (a.step != b.step) return a.step < b.step;
-                return a.values < b.values;
-              });
   }
   // Drop empty histogram entries (created but never observed).
   for (auto it = snapshot.histograms.begin();
@@ -376,122 +307,7 @@ void ResetAll() {
     for (const auto& [name, histogram] : shard->histograms) {
       histogram->Reset();
     }
-    for (const auto& [name, ring] : shard->traces) ring->Reset();
   }
-}
-
-// ---------------------------------------------------------------------------
-// JSON rendering.
-
-namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Doubles render round-trippably; infinities (never produced by the
-/// merge, but cheap to guard) fall back to null.
-void AppendNumber(std::ostringstream* out, double value) {
-  if (std::isfinite(value)) {
-    (*out) << value;
-  } else {
-    (*out) << "null";
-  }
-}
-
-}  // namespace
-
-std::string SnapshotToJson(const Snapshot& snapshot) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name) << "\": ";
-    AppendNumber(&out, value);
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : snapshot.gauges) {
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name) << "\": ";
-    AppendNumber(&out, value);
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-        << "\": {\"count\": " << histogram.count << ", \"sum\": ";
-    AppendNumber(&out, histogram.sum);
-    out << ", \"mean\": ";
-    AppendNumber(&out, histogram.count > 0
-                           ? histogram.sum / static_cast<double>(
-                                                 histogram.count)
-                           : 0.0);
-    out << ", \"min\": ";
-    AppendNumber(&out, histogram.min);
-    out << ", \"max\": ";
-    AppendNumber(&out, histogram.max);
-    out << ", \"p50\": ";
-    AppendNumber(&out, histogram.Percentile(0.50));
-    out << ", \"p95\": ";
-    AppendNumber(&out, histogram.Percentile(0.95));
-    out << ", \"p99\": ";
-    AppendNumber(&out, histogram.Percentile(0.99));
-    out << ", \"buckets\": [";
-    bool first_bucket = true;
-    for (int i = 0; i < kHistogramBuckets; ++i) {
-      if (histogram.buckets[i] == 0) continue;
-      if (!first_bucket) out << ", ";
-      out << "{\"le\": ";
-      AppendNumber(&out, HistogramBucketUpperBound(i));
-      out << ", \"count\": " << histogram.buckets[i] << "}";
-      first_bucket = false;
-    }
-    out << "]}";
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"traces\": {";
-  first = true;
-  for (const auto& [name, trace] : snapshot.traces) {
-    out << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-        << "\": {\"total_appended\": " << trace.total_appended
-        << ", \"points\": [";
-    for (size_t i = 0; i < trace.points.size(); ++i) {
-      const TracePoint& point = trace.points[i];
-      out << (i == 0 ? "" : ", ") << "{\"step\": " << point.step;
-      for (size_t f = 0; f < trace.fields.size(); ++f) {
-        if (trace.fields[f].empty()) continue;
-        out << ", \"" << JsonEscape(trace.fields[f]) << "\": ";
-        AppendNumber(&out, point.values[f]);
-      }
-      out << "}";
-    }
-    out << "]}";
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "}\n}\n";
-  return out.str();
-}
-
-bool WriteProfileJson(const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) return false;
-  out << SnapshotToJson(TakeSnapshot());
-  return out.good();
-}
-
-bool WriteProfileIfRequested() {
-  const std::string path = env::StringOr("PPN_PROFILE_JSON", "");
-  if (path.empty()) return false;
-  return WriteProfileJson(path);
 }
 
 }  // namespace ppn::obs

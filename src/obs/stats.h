@@ -7,15 +7,13 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 /// \file
 /// Lightweight observability: a process-wide registry of named counters,
-/// gauges, histograms, and fixed-size trace rings, accumulated in
-/// PER-THREAD SHARDS and merged only at report time.
+/// gauges, and histograms, accumulated in PER-THREAD SHARDS and merged
+/// only at report time.
 ///
 /// Design constraints (in priority order):
 ///
@@ -25,9 +23,7 @@
 ///    (and the ThreadSanitizer lane stays clean) without any mutex on the
 ///    update path. The only shard lock is taken when a thread *creates* a
 ///    metric it has never touched before (amortized away by the
-///    `static thread_local` handle idiom below), and by trace rings,
-///    whose multi-word entries take a per-ring, owner-only-contended
-///    mutex (trace appends are per-training-step, not per-kernel).
+///    `static thread_local` handle idiom below).
 /// 2. **Determinism is untouched.** Instrumentation only *observes*
 ///    values; it never feeds anything back into computation, so the
 ///    bit-identical worker-count contract of `src/exec` holds with
@@ -39,9 +35,12 @@
 ///    library is compiled with PPN_OBS_DISABLED, letting the compiler
 ///    drop the whole block).
 ///
-/// Runtime enablement: profiling is ON when the `PPN_PROFILE_JSON` or
-/// `PPN_OBS` (≠ "0") environment variables are set, OFF otherwise;
-/// `SetEnabled` / `ScopedObsEnable` override at runtime (tests).
+/// Runtime enablement: profiling is ON when a telemetry sink is named
+/// (`PPN_STATS_JSONL`, `PPN_TRACE_JSON`, `PPN_RUNLOG_DIR`) or `PPN_OBS`
+/// is set (≠ "0"), OFF otherwise; `SetEnabled` / `ScopedObsEnable`
+/// override at runtime (tests). The registry is written out by the stats
+/// stream (obs/sampler.h), whose whole-run `total` line is the process's
+/// end-of-run profile.
 ///
 /// Call-site idiom for hot kernels (one map lookup per thread, ever):
 ///
@@ -142,42 +141,6 @@ class Histogram {
   friend struct HistogramAccess;
 };
 
-/// One entry of a trace ring: a step index plus up to four named values
-/// (field names live on the ring).
-struct TracePoint {
-  int64_t step = 0;
-  std::array<double, 4> values{};
-};
-
-/// Fixed-capacity ring keeping the LAST `capacity` appended points.
-/// Unlike the scalar metrics, entries are multi-word, so appends and
-/// snapshot reads synchronize on a per-ring mutex (uncontended on the
-/// hot path: only the report-time merge ever takes it from another
-/// thread).
-class TraceRing {
- public:
-  TraceRing(std::array<std::string, 4> fields, int64_t capacity);
-
-  void Append(int64_t step, double v0, double v1 = 0.0, double v2 = 0.0,
-              double v3 = 0.0);
-
-  /// Points in append order (oldest first), plus total appended count.
-  std::vector<TracePoint> Points() const;
-  int64_t total_appended() const;
-  const std::array<std::string, 4>& fields() const { return fields_; }
-  int64_t capacity() const { return capacity_; }
-
-  void Reset();
-
- private:
-  std::array<std::string, 4> fields_;
-  int64_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<TracePoint> ring_;
-  int64_t next_ = 0;   ///< Ring slot the next append writes.
-  int64_t total_ = 0;  ///< Appends since construction/reset.
-};
-
 /// Finds or creates the named metric in the CALLING THREAD's shard and
 /// returns a reference that stays valid for the life of the process
 /// (shards are owned by the global registry and survive thread exit, so
@@ -185,9 +148,6 @@ class TraceRing {
 Counter& GetCounter(std::string_view name);
 Gauge& GetGauge(std::string_view name);
 Histogram& GetHistogram(std::string_view name);
-TraceRing& GetTraceRing(std::string_view name,
-                        const std::array<std::string, 4>& fields,
-                        int64_t capacity = 512);
 
 /// RAII wall-clock span: records elapsed seconds into the named
 /// histogram at destruction. Inert when profiling is disabled at
@@ -222,21 +182,12 @@ struct HistogramSnapshot {
   double Percentile(double q) const;
 };
 
-/// Merged view of one trace (same-named rings concatenate, sorted by
-/// step for thread-count independence).
-struct TraceSnapshot {
-  std::array<std::string, 4> fields;
-  int64_t total_appended = 0;
-  std::vector<TracePoint> points;
-};
-
 /// Name-ordered merge of every shard (locks each shard briefly; call at
 /// report time, not from hot paths).
 struct Snapshot {
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  std::map<std::string, TraceSnapshot> traces;
 };
 
 Snapshot TakeSnapshot();
@@ -244,20 +195,6 @@ Snapshot TakeSnapshot();
 /// Zeroes every metric in every shard (handles stay valid). Callers must
 /// be quiescent (no concurrent updates); intended for tests.
 void ResetAll();
-
-/// Renders a snapshot as pretty-printed JSON (stable: name-ordered maps,
-/// only non-empty histogram buckets).
-std::string SnapshotToJson(const Snapshot& snapshot);
-
-/// Takes a snapshot and writes it to `path`; false if the file cannot be
-/// written.
-bool WriteProfileJson(const std::string& path);
-
-/// Honors `PPN_PROFILE_JSON=<path>`: writes the merged profile there and
-/// returns true on success. No-op (returns false) when the variable is
-/// unset or empty. Called by `bench::BenchContext` at destruction and by
-/// `ppn_cli` before exit.
-bool WriteProfileIfRequested();
 
 }  // namespace ppn::obs
 

@@ -11,6 +11,7 @@
 
 #include "common/atomic_file.h"
 #include "common/env.h"
+#include "common/json.h"
 
 namespace ppn::obs {
 
@@ -220,25 +221,6 @@ int64_t TraceDroppedEvents() {
 }
 
 namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
 
 void AppendUs(std::ostringstream* out, double value) {
   if (!std::isfinite(value)) value = 0.0;

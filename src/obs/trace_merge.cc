@@ -19,39 +19,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void AppendUs(std::string* out, double value) {
   if (!std::isfinite(value)) value = 0.0;
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  *out += buffer;
-}
-
-void AppendNumber(std::string* out, double value) {
-  char buffer[40];
-  if (std::isfinite(value)) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "null");
-  }
   *out += buffer;
 }
 
@@ -65,7 +36,7 @@ void AppendJsonValue(std::string* out, const JsonValue& value) {
       *out += value.AsBool() ? "true" : "false";
       break;
     case JsonValue::Type::kNumber:
-      AppendNumber(out, value.AsNumber());
+      AppendJsonNumber(out, value.AsNumber());
       break;
     case JsonValue::Type::kString:
       *out += "\"" + JsonEscape(value.AsString()) + "\"";

@@ -166,14 +166,6 @@ double PolicyGradientTrainer::TrainStep() {
     static thread_local obs::Counter& steps =
         obs::GetCounter("trainer.steps");
     steps.Add(1.0);
-    // The ring is keyed by the trainer's seed, which derives from the cell
-    // key in sweeps — so the merged profile names traces deterministically
-    // regardless of which worker ran the cell.
-    obs::GetTraceRing(
-            "trainer.reward.seed" + std::to_string(config_.seed),
-            {{"total", "log_return", "variance", "turnover"}})
-        .Append(steps_done_, breakdown.total, breakdown.mean_log_return,
-                breakdown.variance, breakdown.mean_turnover);
   }
   // Accumulate the convergence tail (final 10% of the configured run) in
   // members so the indicator is part of the checkpointed state.

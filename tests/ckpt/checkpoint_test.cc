@@ -131,6 +131,18 @@ TEST(CheckpointTest, MissingFileReportsOpenError) {
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
+TEST(CheckpointTest, CommitIntoMissingDirectoryFailsWithError) {
+  const std::string path =
+      FreshDir("missing_dir") + "/no/such/dir/x.ckpt";
+  CheckpointWriter writer(path);
+  writer.BeginSection("data");
+  writer.writer().WriteI64(7);
+  std::string error;
+  EXPECT_FALSE(writer.Commit(&error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 TEST(CheckpointTest, WrongSectionNameReported) {
   const std::string path = FreshDir("section") + "/x.ckpt";
   WriteSimpleCheckpoint(path, 42);

@@ -41,8 +41,8 @@ TEST(EnvRegistryTest, ListsEveryKnownKnob) {
   const std::vector<VarInfo>& registry = Registry();
   EXPECT_GE(registry.size(), 12u);
   for (const char* required :
-       {"PPN_WORKERS", "PPN_SCALE", "PPN_OBS", "PPN_PROFILE_JSON",
-        "PPN_TRACE_JSON", "PPN_TRACE_CAPACITY", "PPN_TRACE_MIN_US",
+       {"PPN_WORKERS", "PPN_SCALE", "PPN_OBS", "PPN_TRACE_JSON",
+        "PPN_TRACE_CAPACITY", "PPN_TRACE_MIN_US",
         "PPN_RUNLOG_DIR", "PPN_RESULTS_JSON", "PPN_NO_POOL",
         "PPN_BENCH_GATE", "PPN_BENCH_REPS", "PPN_STATS_JSONL",
         "PPN_SAMPLE_MS", "PPN_HEALTH"}) {

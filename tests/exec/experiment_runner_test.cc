@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "obs/stats.h"
 
 namespace ppn::exec {
@@ -311,6 +312,29 @@ TEST(WriteResultsJsonTest, DoublesRoundTripBitExactly) {
   EXPECT_EQ(extract("apv"), 1.0 + 1e-15);
   EXPECT_EQ(extract("sr_pct"), 0.1);
   EXPECT_EQ(extract("turnover"), 3.0e-300);
+  std::remove(path.c_str());
+}
+
+TEST(WriteResultsJsonTest, ControlCharactersInNamesStayValidJson) {
+  // Dataset names come from user input (`--replay-name` or a CSV path),
+  // so a raw tab or other control byte must be escaped, not written
+  // verbatim — JSON forbids raw control characters in strings.
+  const std::string strategy = "UB\tAH\x01";
+  const std::string dataset = "replay\tname\x01\"q\"\\";
+  CellResult result;
+  result.key = CellKey{strategy, dataset, 0.0025, 1};
+  const std::string path =
+      testing::TempDir() + "/exec_experiment_results_control.json";
+  ASSERT_TRUE(WriteResultsJson(path, {result}));
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(ParseJson(buffer.str(), &root, &error)) << error;
+  ASSERT_EQ(root.AsArray().size(), 1u);
+  EXPECT_EQ(root.AsArray()[0].StringOr("strategy", ""), strategy);
+  EXPECT_EQ(root.AsArray()[0].StringOr("dataset", ""), dataset);
   std::remove(path.c_str());
 }
 

@@ -280,7 +280,7 @@ TEST(FabricTest, ResumesFromExistingCellCheckpoints) {
   EXPECT_EQ(stats.workers_spawned, 0);
 }
 
-TEST(FabricTest, MergesWorkerProfilesAndPublishesFabricCounters) {
+TEST(FabricTest, MergesWorkerStatsTotalsAndPublishesFabricCounters) {
 #ifdef PPN_OBS_DISABLED
   GTEST_SKIP() << "obs compiled out (-DPPN_OBS_COMPILED=OFF)";
 #endif
@@ -296,7 +296,8 @@ TEST(FabricTest, MergesWorkerProfilesAndPublishesFabricCounters) {
   obs::SetEnabled(was_enabled);
   ASSERT_EQ(rows.size(), 12u);
   // Workers computed the cells, yet the coordinator's snapshot carries
-  // their counters: the per-worker profile JSONs were merged in.
+  // their counters: the total lines of the per-worker stats streams were
+  // merged in.
   auto delta = [&before, &after](const std::string& name) {
     const auto now = after.counters.find(name);
     const auto base = before.counters.find(name);
@@ -306,6 +307,44 @@ TEST(FabricTest, MergesWorkerProfilesAndPublishesFabricCounters) {
   EXPECT_GE(delta("exec.cells.completed"), 12.0);
   EXPECT_EQ(delta("exec.fabric.workers_spawned"), 2.0);
   EXPECT_EQ(delta("exec.fabric.workers_died"), 0.0);
+}
+
+TEST(FabricTest, UnreadableWorkerStatsStreamIsCountedNotFatal) {
+#ifdef PPN_OBS_DISABLED
+  GTEST_SKIP() << "obs compiled out (-DPPN_OBS_COMPILED=OFF)";
+#endif
+  // A stream that exists but is not a ppn.stats.v1 file must be counted
+  // (an uncounted drop would silently understate the merged counters)
+  // while the rows, which never depend on telemetry, stay bit-identical.
+  const bool was_enabled = obs::SetEnabled(true);
+  const obs::Snapshot before = obs::TakeSnapshot();
+  const ExperimentSpec spec = SmallSpec();
+  FabricOptions options = BaseOptions("obs_unreadable");
+  options.num_processes = 2;
+  options.keep_fabric_dir = true;
+  options.after_queue_hook = [&options] {
+    std::ofstream out(options.fabric_dir + "/obs/worker-9.g0.stats.jsonl");
+    out << "scribble, not a stats stream\n";
+    ASSERT_TRUE(out.good());
+  };
+  FabricStats stats;
+  const std::vector<CellResult> rows = RunSweepFabric(spec, options, &stats);
+  const obs::Snapshot after = obs::TakeSnapshot();
+  obs::SetEnabled(was_enabled);
+  ExpectIdenticalRows(InProcessRows(spec), rows);
+  EXPECT_EQ(stats.stats_merge_failed, 1);
+  auto counter = [](const obs::Snapshot& snapshot, const std::string& name) {
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? 0.0 : it->second;
+  };
+  EXPECT_EQ(counter(after, "exec.fabric.stats_merge_failed") -
+                counter(before, "exec.fabric.stats_merge_failed"),
+            1.0);
+  // The real workers' streams still merged.
+  EXPECT_GE(counter(after, "exec.cells.completed") -
+                counter(before, "exec.cells.completed"),
+            12.0);
+  std::filesystem::remove_all(options.fabric_dir);
 }
 
 // ------------------------------------------------------------------ e2e --

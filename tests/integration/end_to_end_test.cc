@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "backtest/backtester.h"
+#include "ckpt/checkpoint.h"
 #include "common/math_utils.h"
 #include "market/presets.h"
 #include "ppn/strategy_adapter.h"
@@ -107,14 +108,24 @@ TEST(EndToEndTest, SavedPolicyReproducesDecisions) {
   tc.steps = 10;
   core::PolicyGradientTrainer trainer(policy.get(), dataset, tc);
   trainer.Train();
-  const std::string path = ::testing::TempDir() + "/ppn_weights.txt";
-  ASSERT_TRUE(policy->SaveParameters(path));
+  const std::string path = ::testing::TempDir() + "/ppn_policy.ckpt";
+  std::string error;
+  {
+    ckpt::CheckpointWriter writer(path);
+    writer.BeginSection("policy");
+    policy->SaveState(&writer.writer());
+    ASSERT_TRUE(writer.Commit(&error)) << error;
+  }
 
   Rng init2(999);
   Rng dropout2(998);
   auto restored = core::MakePolicy(
       SmokePolicyConfig(core::PolicyVariant::kPpn, m), &init2, &dropout2);
-  ASSERT_TRUE(restored->LoadParameters(path));
+  ckpt::CheckpointReader reader;
+  ASSERT_TRUE(reader.Open(path, &error)) << error;
+  ASSERT_TRUE(reader.EnterSection("policy", &error)) << error;
+  ASSERT_TRUE(restored->LoadState(&reader.reader(), &error)) << error;
+  ASSERT_TRUE(reader.Finish(&error)) << error;
 
   core::PolicyStrategy s1(policy.get(), "orig");
   core::PolicyStrategy s2(restored.get(), "restored");

@@ -1,7 +1,10 @@
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/binio.h"
 #include "nn/conv.h"
 #include "nn/init.h"
 #include "nn/linear.h"
@@ -67,9 +70,13 @@ TEST(ModuleTest, SaveLoadRoundTrip) {
   Rng rng(7);
   Linear a(3, 2, &rng);
   Linear b(3, 2, &rng);  // Different init.
-  const std::string path = ::testing::TempDir() + "/linear_params.txt";
-  ASSERT_TRUE(a.SaveParameters(path));
-  ASSERT_TRUE(b.LoadParameters(path));
+  std::ostringstream out;
+  ckpt::BinWriter writer(&out);
+  a.SaveState(&writer);
+  const std::string bytes = out.str();
+  ckpt::BinReader reader(bytes.data(), bytes.size());
+  std::string error;
+  ASSERT_TRUE(b.LoadState(&reader, &error)) << error;
   EXPECT_TRUE(b.weight()->value().AllClose(a.weight()->value()));
   EXPECT_TRUE(b.bias()->value().AllClose(a.bias()->value()));
 }
@@ -78,9 +85,14 @@ TEST(ModuleTest, LoadRejectsWrongShape) {
   Rng rng(7);
   Linear a(3, 2, &rng);
   Linear b(2, 2, &rng);
-  const std::string path = ::testing::TempDir() + "/linear_params2.txt";
-  ASSERT_TRUE(a.SaveParameters(path));
-  EXPECT_FALSE(b.LoadParameters(path));
+  std::ostringstream out;
+  ckpt::BinWriter writer(&out);
+  a.SaveState(&writer);
+  const std::string bytes = out.str();
+  ckpt::BinReader reader(bytes.data(), bytes.size());
+  std::string error;
+  EXPECT_FALSE(b.LoadState(&reader, &error));
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(ModuleTest, CopyParametersFrom) {

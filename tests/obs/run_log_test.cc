@@ -5,6 +5,8 @@
 
 #include "obs/run_log.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -184,12 +186,23 @@ TEST(RunLogTest, TrainerStreamsOneExactRecordPerStep) {
   std::string error;
   ASSERT_TRUE(ReadRunLog(path, &parsed, &error)) << error;
   ASSERT_EQ(parsed.records.size(), static_cast<size_t>(kSteps));
+  const core::RewardConfig reward = SmallTrainerConfig().reward;
   for (int step = 0; step < kSteps; ++step) {
     const RunLogRecord& record = parsed.records[step];
     EXPECT_EQ(record.step, step);
     // EXACT equality: the record holds the very double TrainStep returned,
     // and %.17g JSONL round-trips it bit-for-bit.
     EXPECT_EQ(record.reward_total, rewards[step]) << "step " << step;
+    // The breakdown reconstructs the total:
+    //   total = mean_log_return − λ·variance − γ·mean_turnover.
+    // The graph combines the terms in float32, so reconstructing in double
+    // only matches to single precision.
+    const double reconstructed = record.reward_log_return -
+                                 reward.lambda * record.reward_variance -
+                                 reward.gamma * record.reward_turnover;
+    EXPECT_NEAR(reconstructed, rewards[step],
+                1e-5 * std::max(1.0, std::fabs(rewards[step])))
+        << "step " << step;
     EXPECT_GT(record.grad_norm, 0.0);
     EXPECT_GT(record.solver_iterations, 0.0);
     EXPECT_GT(record.step_seconds, 0.0);

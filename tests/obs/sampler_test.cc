@@ -137,6 +137,68 @@ TEST_F(SamplerTest, CounterDeltasAcrossWindowsSumToTheTotal) {
   EXPECT_EQ(hist_total, 40);
 }
 
+TEST_F(SamplerTest, TotalLineIsTheWholeRunProfile) {
+  SKIP_IF_COMPILED_OUT();
+  const std::string path = FreshPath("total");
+  SamplerOptions options;
+  options.path = path;
+  options.sample_ms = 5;  // Several windows, so deltas != totals.
+  auto sampler = StatsSampler::Start(options);
+  ASSERT_NE(sampler, nullptr);
+  Counter& counter = GetCounter("sampler.test.total");
+  Histogram& hist = GetHistogram("sampler.test.total_hist");
+  Gauge& gauge = GetGauge("sampler.test.total_gauge");
+  for (int i = 0; i < 30; ++i) {
+    counter.Add(0.1 * (i + 1));  // Sums with no short decimal form.
+    hist.Observe(1e-3 * (1 + i % 7));
+    gauge.UpdateMax(static_cast<double>(i % 11));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(sampler->Stop());
+  // The registry is quiescent from Stop on, so this is the snapshot the
+  // total line was rendered from.
+  const Snapshot expected = TakeSnapshot();
+
+  StatsStream stream;
+  ASSERT_TRUE(ReadStatsStream(path, &stream));
+  ASSERT_TRUE(stream.total.has_value());
+  const StatsSample& total = *stream.total;
+  // The total line is the last line and never counts as a window.
+  const std::vector<std::string> lines = RawLines(path);
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(lines.back().rfind("{\"total\": true, \"t_ms\": ", 0), 0u)
+      << lines.back();
+  EXPECT_EQ(stream.samples.size(), lines.size() - 2);
+  ASSERT_FALSE(stream.samples.empty());
+  EXPECT_EQ(total.t_ms, stream.samples.back().t_ms);
+  EXPECT_EQ(total.health_checked, 0);
+
+  // Bit for bit: every nonzero counter and every gauge of the snapshot.
+  for (const auto& [name, value] : expected.counters) {
+    const auto it = total.counters.find(name);
+    EXPECT_EQ(it == total.counters.end() ? 0.0 : it->second, value) << name;
+  }
+  EXPECT_EQ(total.gauges, expected.gauges);
+  ASSERT_EQ(total.hists.size(), expected.histograms.size());
+  for (const auto& [name, hist_snapshot] : expected.histograms) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(total.hists.count(name), 1u);
+    const StatsHistWindow& got = total.hists.at(name);
+    EXPECT_EQ(got.count, hist_snapshot.count);
+    EXPECT_EQ(got.mean, hist_snapshot.sum /
+                            static_cast<double>(hist_snapshot.count));
+    EXPECT_EQ(got.min, hist_snapshot.min);
+    EXPECT_EQ(got.max, hist_snapshot.max);
+    EXPECT_EQ(got.p50, hist_snapshot.Percentile(0.50));
+    EXPECT_EQ(got.p95, hist_snapshot.Percentile(0.95));
+    EXPECT_EQ(got.p99, hist_snapshot.Percentile(0.99));
+  }
+  // Spot-check the fixture really spanned windows and values.
+  EXPECT_GE(stream.samples.size(), 2u);
+  EXPECT_EQ(total.hists.at("sampler.test.total_hist").count, 30);
+  EXPECT_EQ(total.gauges.at("sampler.test.total_gauge"), 10.0);
+}
+
 TEST_F(SamplerTest, DoublesRoundTripBitExactThroughCommonJson) {
   SKIP_IF_COMPILED_OUT();
   const std::string path = FreshPath("roundtrip");

@@ -1,9 +1,6 @@
 #include "obs/stats.h"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -253,70 +250,6 @@ TEST_F(ObsStatsTest, SetEnabledReturnsPreviousValue) {
   EXPECT_FALSE(SetEnabled(true));
 }
 
-TEST_F(ObsStatsTest, TraceRingKeepsLastCapacityPoints) {
-  TraceRing& ring = GetTraceRing("t.trace.wrap", {{"a", "b", "", ""}}, 4);
-  for (int64_t step = 0; step < 10; ++step) {
-    ring.Append(step, static_cast<double>(step), -1.0);
-  }
-  EXPECT_EQ(ring.total_appended(), 10);
-  const std::vector<TracePoint> points = ring.Points();
-  ASSERT_EQ(points.size(), 4u);
-  // Oldest-first: steps 6, 7, 8, 9.
-  for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(points[i].step, static_cast<int64_t>(6 + i));
-    EXPECT_DOUBLE_EQ(points[i].values[0], static_cast<double>(6 + i));
-    EXPECT_DOUBLE_EQ(points[i].values[1], -1.0);
-  }
-}
-
-TEST_F(ObsStatsTest, TraceMergeSortsByStepAcrossThreads) {
-  std::vector<std::thread> threads;
-  // Two threads append disjoint step ranges to same-named rings (each
-  // thread owns its shard's ring); the merged trace must come back
-  // step-sorted regardless of scheduling.
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([i] {
-      TraceRing& ring =
-          GetTraceRing("t.trace.sorted", {{"v", "", "", ""}}, 16);
-      for (int64_t j = 0; j < 5; ++j) {
-        ring.Append(i + 2 * j, static_cast<double>(i + 2 * j));
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  const TraceSnapshot merged = TakeSnapshot().traces.at("t.trace.sorted");
-  EXPECT_EQ(merged.total_appended, 10);
-  ASSERT_EQ(merged.points.size(), 10u);
-  for (size_t i = 0; i < merged.points.size(); ++i) {
-    EXPECT_EQ(merged.points[i].step, static_cast<int64_t>(i));
-  }
-  EXPECT_EQ(merged.fields[0], "v");
-}
-
-TEST_F(ObsStatsTest, TraceMergeBreaksStepTiesByValues) {
-  // Two threads record the SAME steps with different values (e.g. two
-  // shards of a ring that raced); the merged order must not depend on
-  // which thread's shard is visited first — ties sort by values.
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([i] {
-      TraceRing& ring = GetTraceRing("t.trace.ties", {{"v", "", "", ""}}, 8);
-      const double value = (i == 0) ? 5.0 : 3.0;
-      ring.Append(0, value);
-      ring.Append(1, value);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  const TraceSnapshot merged = TakeSnapshot().traces.at("t.trace.ties");
-  ASSERT_EQ(merged.points.size(), 4u);
-  EXPECT_EQ(merged.points[0].step, 0);
-  EXPECT_DOUBLE_EQ(merged.points[0].values[0], 3.0);
-  EXPECT_DOUBLE_EQ(merged.points[1].values[0], 5.0);
-  EXPECT_EQ(merged.points[2].step, 1);
-  EXPECT_DOUBLE_EQ(merged.points[2].values[0], 3.0);
-  EXPECT_DOUBLE_EQ(merged.points[3].values[0], 5.0);
-}
-
 TEST_F(ObsStatsTest, ResetAllZeroesEverythingButKeepsHandles) {
   Counter& counter = GetCounter("t.reset.counter");
   counter.Add(7.0);
@@ -328,37 +261,6 @@ TEST_F(ObsStatsTest, ResetAllZeroesEverythingButKeepsHandles) {
   EXPECT_EQ(snapshot.histograms.count("t.reset.hist"), 0u);
   counter.Add(2.0);  // Handle still valid after reset.
   EXPECT_EQ(counter.value(), 2.0);
-}
-
-TEST_F(ObsStatsTest, SnapshotToJsonContainsAllSections) {
-  GetCounter("t.json.counter").Add(3.0);
-  GetGauge("t.json.gauge").UpdateMax(1.5);
-  GetHistogram("t.json.hist").Observe(2.0);
-  GetTraceRing("t.json.trace", {{"x", "", "", ""}}, 8).Append(0, 42.0);
-  const std::string json = SnapshotToJson(TakeSnapshot());
-  EXPECT_NE(json.find("\"t.json.counter\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"t.json.gauge\": 1.5"), std::string::npos);
-  EXPECT_NE(json.find("\"t.json.hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
-  // Percentile estimates ride along in every histogram section.
-  EXPECT_NE(json.find("\"p50\""), std::string::npos);
-  EXPECT_NE(json.find("\"p95\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
-  EXPECT_NE(json.find("\"t.json.trace\""), std::string::npos);
-  EXPECT_NE(json.find("\"x\": 42"), std::string::npos);
-}
-
-TEST_F(ObsStatsTest, WriteProfileJsonWritesReadableFile) {
-  GetCounter("t.file.counter").Add(1.0);
-  const std::string path =
-      ::testing::TempDir() + "/obs_stats_test_profile.json";
-  ASSERT_TRUE(WriteProfileJson(path));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_NE(buffer.str().find("t.file.counter"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

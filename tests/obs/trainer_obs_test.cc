@@ -1,8 +1,8 @@
-// Integration test: the trainer's obs instrumentation must faithfully
-// mirror what the trainer returns, and turning instrumentation on must not
-// change the training trajectory.
+// Integration test: the trainer's obs counters must match the steps it
+// ran, and turning instrumentation on must not change the training
+// trajectory. (The per-step reward breakdown is checked through the run
+// log, obs/run_log_test.cc.)
 
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -60,45 +60,16 @@ std::vector<double> RunSteps(int steps) {
   return rewards;
 }
 
-TEST(TrainerObsTest, RewardTraceMatchesReturnedRewards) {
+TEST(TrainerObsTest, StepCountersMatchTrainedSteps) {
 #ifdef PPN_OBS_DISABLED
   GTEST_SKIP() << "obs compiled out (-DPPN_OBS_COMPILED=OFF)";
 #endif
   obs::ScopedObsEnable enable;
   obs::ResetAll();
   constexpr int kSteps = 12;
-  const std::vector<double> rewards = RunSteps(kSteps);
+  RunSteps(kSteps);
 
   const obs::Snapshot snapshot = obs::TakeSnapshot();
-  const std::string trace_name =
-      "trainer.reward.seed" + std::to_string(SmallTrainerConfig().seed);
-  ASSERT_EQ(snapshot.traces.count(trace_name), 1u)
-      << "trainer did not record its reward trace";
-  const obs::TraceSnapshot& trace = snapshot.traces.at(trace_name);
-  EXPECT_EQ(trace.fields[0], "total");
-  EXPECT_EQ(trace.fields[1], "log_return");
-  EXPECT_EQ(trace.fields[2], "variance");
-  EXPECT_EQ(trace.fields[3], "turnover");
-  EXPECT_EQ(trace.total_appended, kSteps);
-  ASSERT_EQ(trace.points.size(), static_cast<size_t>(kSteps));
-  for (int step = 0; step < kSteps; ++step) {
-    EXPECT_EQ(trace.points[step].step, step);
-    EXPECT_DOUBLE_EQ(trace.points[step].values[0], rewards[step])
-        << "trace total diverges from returned reward at step " << step;
-    // The breakdown reconstructs the total:
-    //   total = mean_log_return − λ·variance − γ·mean_turnover.
-    const RewardConfig reward_config;  // Trainer ran with defaults.
-    const double reconstructed = trace.points[step].values[1] -
-                                 reward_config.lambda *
-                                     trace.points[step].values[2] -
-                                 reward_config.gamma *
-                                     trace.points[step].values[3];
-    // The graph combines the terms in float32, so reconstructing in double
-    // only matches to single precision.
-    EXPECT_NEAR(reconstructed, rewards[step],
-                1e-5 * std::max(1.0, std::fabs(rewards[step])));
-  }
-
   EXPECT_EQ(snapshot.counters.at("trainer.steps"), kSteps);
   ASSERT_EQ(snapshot.histograms.count("trainer.step.seconds"), 1u);
   EXPECT_EQ(snapshot.histograms.at("trainer.step.seconds").count, kSteps);

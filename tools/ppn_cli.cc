@@ -3,10 +3,10 @@
 //   ppn_cli generate  --dataset crypto-a --out data/run1
 //   ppn_cli train     --dataset crypto-a --variant PPN --steps 600
 //                     [--gamma 1e-3 --lambda 1e-4 --cost 0.0025
-//                      --weights ppn.weights --checkpoint-dir ckpt
+//                      --weights policy.ckpt --checkpoint-dir ckpt
 //                      --checkpoint-every 50 --resume 1 --adversarial 0.01]
-//   ppn_cli backtest  --dataset crypto-a --variant PPN --weights ppn.weights
-//   ppn_cli serve     --dataset crypto-a --variant PPN --weights ppn.weights
+//   ppn_cli backtest  --dataset crypto-a --variant PPN --weights policy.ckpt
+//   ppn_cli serve     --dataset crypto-a --variant PPN --weights policy.ckpt
 //                     [--users 1000 --ticks 50 --batch 256 --workers 0
 //                      --queue-capacity 4096 --cost 0.0025]
 //   ppn_cli baselines --dataset crypto-a
@@ -46,6 +46,11 @@
 // with work-stealing and elastic restart — still bit-identical, including
 // across worker crashes (see PPN_FABRIC_* in `help-env`).
 //
+// Weights: `train --weights` (default policy.ckpt) writes a checkpoint
+// file (ckpt/checkpoint.h) with one `policy` section; `backtest` and
+// `serve` verify its CRC and shapes before use and exit 1 with the
+// reader's error on a corrupt or mismatched file.
+//
 // Checkpointing: `train --checkpoint-dir` snapshots the full training
 // state (parameters, Adam moments, RNG streams, PVM, step counters) every
 // `--checkpoint-every` steps (default 50, atomically, newest 3 retained);
@@ -64,9 +69,10 @@
 //
 // Observability plane (see obs/sampler.h, obs/trace_merge.h,
 // obs/health.h): PPN_STATS_JSONL=<file> streams periodic ppn.stats.v1
-// samples every PPN_SAMPLE_MS from ANY command; `top --dir <target>`
-// tails those streams (plus a fabric dir's queue/done counts) as an
-// in-place refreshing table. A traced multi-process sweep
+// samples every PPN_SAMPLE_MS from ANY command, and its last line is the
+// whole-run `total` (the end-of-run profile); `top --dir <target>` tails
+// those streams (plus a fabric dir's queue/done counts) as an in-place
+// refreshing table. A traced multi-process sweep
 // (`sweep --processes N` with PPN_TRACE_JSON) stitches coordinator and
 // worker timelines into one Perfetto JSON automatically — or on demand
 // via `report --merge-trace <fabric_dir>`. PPN_HEALTH=<rules> turns SLO
@@ -98,6 +104,7 @@
 #include "market/presets.h"
 #include "market/replay_io.h"
 #include "market/stress.h"
+#include "nn/module.h"
 #include "obs/health.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
@@ -189,6 +196,24 @@ void PrintMetrics(const std::string& label, const backtest::Metrics& m) {
   std::printf(
       "%-14s APV=%.4f  SR=%.2f%%  STD=%.2f%%  CR=%.2f  MDD=%.1f%%  TO=%.4f\n",
       label.c_str(), m.apv, m.sr_pct, m.std_pct, m.cr, m.mdd_pct, m.turnover);
+}
+
+/// Loads a `train --weights` file — a checkpoint (ckpt/checkpoint.h) with
+/// one `policy` section holding `Module::SaveState` — into `policy`. On a
+/// missing or corrupt file or a shape mismatch prints the reader's error
+/// and returns false.
+bool LoadPolicy(const std::string& path, nn::Module* policy) {
+  ckpt::CheckpointReader reader;
+  std::string error;
+  if (reader.Open(path, &error) && reader.EnterSection("policy", &error) &&
+      policy->LoadState(&reader.reader(), &error) && reader.Finish(&error)) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "failed loading weights '%s': %s (train first, and use the "
+               "same --variant/--window)\n",
+               path.c_str(), error.c_str());
+  return false;
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -287,9 +312,13 @@ int CmdTrain(const Flags& flags) {
     tail = trainer.Train();
   }
   std::printf("tail mean reward: %.6f\n", tail);
-  const std::string weights = FlagOr(flags, "weights", "policy.weights");
-  if (!policy->SaveParameters(weights)) {
-    std::fprintf(stderr, "failed writing weights '%s'\n", weights.c_str());
+  const std::string weights = FlagOr(flags, "weights", "policy.ckpt");
+  ckpt::CheckpointWriter writer(weights);
+  writer.BeginSection("policy");
+  policy->SaveState(&writer.writer());
+  std::string error;
+  if (!writer.Commit(&error)) {
+    std::fprintf(stderr, "failed writing weights: %s\n", error.c_str());
     return 1;
   }
   std::printf("weights saved to %s\n", weights.c_str());
@@ -308,12 +337,7 @@ int CmdBacktest(const Flags& flags) {
   Rng init(1);
   Rng dropout(2);
   auto policy = core::MakePolicy(policy_config, &init, &dropout);
-  const std::string weights = FlagOr(flags, "weights", "policy.weights");
-  if (!policy->LoadParameters(weights)) {
-    std::fprintf(stderr,
-                 "failed loading weights '%s' (train first, and use the "
-                 "same --variant/--window)\n",
-                 weights.c_str());
+  if (!LoadPolicy(FlagOr(flags, "weights", "policy.ckpt"), policy.get())) {
     return 1;
   }
   core::PolicyStrategy strategy(policy.get(),
@@ -342,12 +366,7 @@ int CmdServe(const Flags& flags) {
   Rng init(1);
   Rng dropout(2);
   auto policy = core::MakePolicy(policy_config, &init, &dropout);
-  const std::string weights = FlagOr(flags, "weights", "policy.weights");
-  if (!policy->LoadParameters(weights)) {
-    std::fprintf(stderr,
-                 "failed loading weights '%s' (train first, and use the "
-                 "same --variant/--window)\n",
-                 weights.c_str());
+  if (!LoadPolicy(FlagOr(flags, "weights", "policy.ckpt"), policy.get())) {
     return 1;
   }
 
@@ -618,20 +637,20 @@ int CmdSweep(const Flags& flags) {
     ckpt_write_failures = stats.ckpt_write_failures;
     std::printf("fabric: %lld workers spawned (%lld died, %lld restarted), "
                 "%lld cells stolen, %lld re-dispatched, %lld restored, "
-                "%lld profile merges failed\n\n",
+                "%lld stats merges failed\n\n",
                 static_cast<long long>(stats.workers_spawned),
                 static_cast<long long>(stats.workers_died),
                 static_cast<long long>(stats.workers_restarted),
                 static_cast<long long>(stats.cells_stolen),
                 static_cast<long long>(stats.cells_redispatched),
                 static_cast<long long>(stats.cells_restored),
-                static_cast<long long>(stats.profile_merge_failed));
-    if (stats.profile_merge_failed > 0) {
+                static_cast<long long>(stats.stats_merge_failed));
+    if (stats.stats_merge_failed > 0) {
       std::fprintf(stderr,
-                   "WARNING: %lld worker profile(s) could not be merged — "
-                   "results are complete, but the aggregated obs counters "
-                   "undercount that worker's activity\n",
-                   static_cast<long long>(stats.profile_merge_failed));
+                   "WARNING: %lld worker stats stream(s) could not be "
+                   "merged — results are complete, but the aggregated obs "
+                   "counters undercount that worker's activity\n",
+                   static_cast<long long>(stats.stats_merge_failed));
     }
   } else {
     const int workers = static_cast<int>(NumFlagOr(flags, "workers", -1.0));
@@ -1082,10 +1101,6 @@ int main(int argc, char** argv) {
                    sampler->path().c_str());
     }
     sampler.reset();
-  }
-  if (ppn::obs::WriteProfileIfRequested()) {
-    std::fprintf(stderr, "profile written to %s\n",
-                 ppn::env::StringOr("PPN_PROFILE_JSON", "").c_str());
   }
   if (ppn::obs::WriteTraceIfRequested()) {
     std::fprintf(stderr, "trace written to %s (open in ui.perfetto.dev)\n",
