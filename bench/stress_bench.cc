@@ -4,7 +4,7 @@
 //
 // run_benches.sh archives the JSON report as bench_results/stress_bench.json
 // and (under PPN_BENCH_GATE=1) diffs medians against the previous archive,
-// exactly like micro_kernels and serve_bench.
+// exactly like micro_kernels.
 
 #include <filesystem>
 #include <string>

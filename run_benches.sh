@@ -6,11 +6,15 @@
 # PPN_WORKERS controls experiment parallelism (default: hardware thread
 # count; 0 forces the serial inline path).
 #
-# google-benchmark binaries (micro_kernels, serve_bench, stress_bench)
-# archive their machine-readable report as "<bench>.json" in
-# bench_results/ — the
+# google-benchmark binaries (micro_kernels, stress_bench) archive their
+# machine-readable report as "<bench>.json" in bench_results/ — the
 # input format of tools/bench_diff.py, which compares two archived runs
-# and flags throughput regressions.
+# and flags throughput regressions. Serving throughput and latency are
+# measured by the perfbench `serve` workload (python3 perfbench/run.py
+# --workload serve), not here.
+#
+# PPN_BENCH_GATE and PPN_BENCH_REPS (below) are read only by this script;
+# no binary reads them, so `ppn_cli help-env` does not list them.
 #
 # Regression gate: PPN_BENCH_GATE=1 turns bench_diff.py into a gate.
 # Before running a gated bench the previous archived report (the newest
@@ -50,7 +54,7 @@ gate_status=0
       name=$(basename "$b")
       echo "===== RUNNING $name ====="
       case "$name" in
-        micro_kernels|serve_bench|stress_bench)
+        micro_kernels|stress_bench)
           baseline=""
           if [ "${PPN_BENCH_GATE:-0}" = "1" ] && \
              [ -f "/root/repo/bench_results/$name.json" ]; then

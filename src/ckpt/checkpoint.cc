@@ -66,6 +66,9 @@ bool CheckpointWriter::Commit(std::string* error) {
   const uint32_t crc = writer_->crc();
   const uint64_t payload_bytes = writer_->bytes_written();
   writer_->WriteU32(crc);
+  if (!file_.stream().is_open()) {
+    return Fail(error, "cannot create " + file_.temp_path());
+  }
   if (!writer_->ok()) {
     file_.Commit();  // Clears the temp file; the stream is already bad.
     return Fail(error, "checkpoint write failed (disk full?): " + path_);

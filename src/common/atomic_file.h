@@ -45,6 +45,9 @@ class AtomicFileWriter {
   /// The final target path.
   const std::string& path() const { return path_; }
 
+  /// The temporary sibling the writes stream into until `Commit`.
+  const std::string& temp_path() const { return temp_path_; }
+
  private:
   std::string path_;
   std::string temp_path_;

@@ -11,21 +11,17 @@ namespace ppn::env {
 namespace {
 
 // The single source of truth for every environment knob the binaries read.
-// run_benches.sh / CI knobs consumed only by shell scripts are listed too,
-// so `ppn_cli help-env` documents the whole surface.
+// Knobs read only by shell scripts (run_benches.sh's PPN_BENCH_GATE /
+// PPN_BENCH_REPS) are documented in those scripts, not here.
 const VarInfo kRegistry[] = {
     {"PPN_WORKERS", "int", "hardware threads",
      "Worker threads for exec::ThreadPool consumers (0 = run inline)"},
     {"PPN_SCALE", "enum", "quick",
      "Run scale for presets and examples: smoke | quick | full"},
-    {"PPN_OBS", "flag", "off",
-     "Force the obs layer on (any value but \"0\") without a sink path"},
     {"PPN_TRACE_JSON", "path", "unset",
      "Write a Chrome trace-event timeline to this path at exit"},
     {"PPN_TRACE_CAPACITY", "int", "65536",
      "Per-thread trace ring capacity in events (values <= 0 use default)"},
-    {"PPN_TRACE_MIN_US", "double", "0",
-     "Drop trace spans shorter than this many microseconds"},
     {"PPN_RUNLOG_DIR", "path", "unset",
      "Directory for streaming per-step run logs (one JSONL per run)"},
     {"PPN_STATS_JSONL", "path", "unset",
@@ -37,7 +33,8 @@ const VarInfo kRegistry[] = {
     {"PPN_HEALTH", "rules", "unset",
      "Comma-separated SLO rules (<metric><op><value>, e.g. "
      "serve.decide.latency.seconds.p99<5ms) checked per sample window "
-     "and at exit; any violation makes the run exit nonzero"},
+     "and at exit; any violation makes the run exit nonzero (turns obs "
+     "on)"},
     {"PPN_RESULTS_JSON", "path", "unset",
      "Benchmark harness: append bench context results to this JSON"},
     {"PPN_NO_POOL", "flag", "off",
@@ -58,10 +55,6 @@ const VarInfo kRegistry[] = {
     {"PPN_FABRIC_TEST_HANG_AFTER", "slot:cells", "unset",
      "Fabric fault injection (tests): worker <slot> hangs forever on its "
      "<cells>-th claim; stripped from respawned workers"},
-    {"PPN_BENCH_GATE", "flag", "off",
-     "run_benches.sh: diff gated benches against the archived baseline"},
-    {"PPN_BENCH_REPS", "int", "3",
-     "run_benches.sh: benchmark repetitions for gated benches"},
 };
 
 const VarInfo* Find(const char* name) {

@@ -39,8 +39,8 @@ bool IsSet(const char* name);
 /// True when the knob is set to a non-empty string.
 bool HasValue(const char* name);
 
-/// Boolean knob convention shared by PPN_OBS / PPN_NO_POOL: true when set,
-/// non-empty, and not exactly "0".
+/// Boolean knob convention (PPN_NO_POOL): true when set, non-empty, and
+/// not exactly "0".
 bool FlagSet(const char* name);
 
 /// Returns `fallback` when the knob is unset; otherwise strict-parses the

@@ -15,15 +15,15 @@ namespace ppn::obs {
 namespace internal {
 
 std::atomic<bool>& EnabledFlag() {
-  // First use decides the default from the environment: an explicit
-  // telemetry destination (stats stream, trace, or run-log) or
-  // PPN_OBS != "0" turns instrumentation on.
+  // First use decides the default from the environment: instrumentation
+  // is on exactly when a consumer is named — a stats stream, a trace, a
+  // run-log directory, or health rules (which judge the registry at exit).
   static std::atomic<bool> flag{[] {
-    for (const char* var :
-         {"PPN_STATS_JSONL", "PPN_TRACE_JSON", "PPN_RUNLOG_DIR"}) {
+    for (const char* var : {"PPN_STATS_JSONL", "PPN_TRACE_JSON",
+                            "PPN_RUNLOG_DIR", "PPN_HEALTH"}) {
       if (env::HasValue(var)) return true;
     }
-    return env::FlagSet("PPN_OBS");
+    return false;
   }()};
   return flag;
 }

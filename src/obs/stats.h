@@ -35,12 +35,12 @@
 ///    library is compiled with PPN_OBS_DISABLED, letting the compiler
 ///    drop the whole block).
 ///
-/// Runtime enablement: profiling is ON when a telemetry sink is named
-/// (`PPN_STATS_JSONL`, `PPN_TRACE_JSON`, `PPN_RUNLOG_DIR`) or `PPN_OBS`
-/// is set (≠ "0"), OFF otherwise; `SetEnabled` / `ScopedObsEnable`
-/// override at runtime (tests). The registry is written out by the stats
-/// stream (obs/sampler.h), whose whole-run `total` line is the process's
-/// end-of-run profile.
+/// Runtime enablement: profiling is ON exactly when a consumer is named
+/// (`PPN_STATS_JSONL`, `PPN_TRACE_JSON`, `PPN_RUNLOG_DIR` or
+/// `PPN_HEALTH`), OFF otherwise; `SetEnabled` / `ScopedObsEnable`
+/// override at runtime (tests, `sweep --telemetry-dir`). The registry is
+/// written out by the stats stream (obs/sampler.h), whose whole-run
+/// `total` line is the process's end-of-run profile.
 ///
 /// Call-site idiom for hot kernels (one map lookup per thread, ever):
 ///

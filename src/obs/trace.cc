@@ -21,9 +21,8 @@ namespace internal {
 
 std::atomic<bool>& TraceFlag() {
   // First use decides the default: an explicit trace destination arms the
-  // sink (and PPN_TRACE_JSON also flips EnabledFlag via the check below,
-  // so `PPN_TRACE_JSON=t.json ppn_cli ...` works without PPN_OBS=1 —
-  // see EnabledFlag() in stats.cc).
+  // sink (PPN_TRACE_JSON also turns obs on — see EnabledFlag() in
+  // stats.cc).
   static std::atomic<bool> flag{[] { return env::HasValue("PPN_TRACE_JSON"); }()};
   return flag;
 }
@@ -85,14 +84,6 @@ int64_t BufferCapacity() {
     return parsed > 0 ? parsed : static_cast<int64_t>(65536);
   }();
   return capacity;
-}
-
-double GlobalMinDurationUs() {
-  static const double min_us = [] {
-    const double parsed = env::DoubleOr("PPN_TRACE_MIN_US", 0.0);
-    return parsed > 0.0 ? parsed : 0.0;
-  }();
-  return min_us;
 }
 
 TraceBuffer& LocalTraceBuffer() {
@@ -158,7 +149,7 @@ uint64_t NextFlowId() {
 Span::Span(std::string_view name, double min_duration_us) {
   if (!TraceEnabled()) return;
   active_ = true;
-  min_duration_us_ = std::max(min_duration_us, GlobalMinDurationUs());
+  min_duration_us_ = min_duration_us;
   name_.assign(name);
   start_us_ = NowUs();
 }

@@ -43,8 +43,6 @@
 ///                           65536; events beyond it are dropped and
 ///                           counted in `TraceDroppedEvents()` / the
 ///                           export's "ppn_dropped_events" metadata)
-///   PPN_TRACE_MIN_US=<n>    global floor on recorded span duration, in
-///                           microseconds (default 0 = keep everything)
 
 namespace ppn::obs {
 
@@ -107,7 +105,7 @@ inline constexpr int kMaxSpanArgs = 4;
 ///
 /// `min_duration_us` suppresses recording of spans shorter than the
 /// threshold (useful for per-kernel spans that would otherwise flood the
-/// buffer); the global PPN_TRACE_MIN_US floor applies on top.
+/// buffer).
 class Span {
  public:
   explicit Span(std::string_view name, double min_duration_us = 0.0);

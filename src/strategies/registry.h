@@ -33,7 +33,7 @@ struct StrategySpec {
   /// vary a knob of the same variant (e.g. the γ sweep) must give each
   /// spec a distinct label: the experiment runner keys cells (and derives
   /// their RNG seeds) by label.
-  std::string label;
+  std::string label{};
 
   // --- Neural training knobs (ignored for classic baselines). ------------
   double gamma = 1e-3;        ///< Cost-constraint weight γ of Eq. 1.
@@ -47,7 +47,7 @@ struct StrategySpec {
   /// `obs::RunLogRecord` per step to this JSONL path (see
   /// obs/run_log.h). Telemetry only — never affects training results.
   /// Ignored for classic baselines (nothing trains).
-  std::string runlog_path;
+  std::string runlog_path{};
 
   /// The label used in tables and cell keys.
   const std::string& display() const { return label.empty() ? name : label; }

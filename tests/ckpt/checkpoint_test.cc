@@ -8,15 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.h"
+
 namespace ppn::ckpt {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/ckpt_test_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 void WriteSimpleCheckpoint(const std::string& path, int64_t payload) {
   CheckpointWriter writer(path);
@@ -40,7 +35,7 @@ bool ReadSimpleCheckpoint(const std::string& path, int64_t* payload,
 }
 
 TEST(CheckpointTest, RoundTrip) {
-  const std::string path = FreshDir("roundtrip") + "/x.ckpt";
+  const std::string path = test::FreshDir("roundtrip") + "/x.ckpt";
   WriteSimpleCheckpoint(path, 1234);
   int64_t payload = 0;
   std::string error;
@@ -49,14 +44,14 @@ TEST(CheckpointTest, RoundTrip) {
 }
 
 TEST(CheckpointTest, NoTempFileLeftBehind) {
-  const std::string dir = FreshDir("notmp");
+  const std::string dir = test::FreshDir("notmp");
   WriteSimpleCheckpoint(dir + "/x.ckpt", 1);
   EXPECT_TRUE(std::filesystem::exists(dir + "/x.ckpt"));
   EXPECT_FALSE(std::filesystem::exists(dir + "/x.ckpt.tmp"));
 }
 
 TEST(CheckpointTest, UncommittedWriterLeavesTargetUntouched) {
-  const std::string dir = FreshDir("uncommitted");
+  const std::string dir = test::FreshDir("uncommitted");
   const std::string path = dir + "/x.ckpt";
   WriteSimpleCheckpoint(path, 7);
   {
@@ -73,7 +68,7 @@ TEST(CheckpointTest, UncommittedWriterLeavesTargetUntouched) {
 }
 
 TEST(CheckpointTest, FlippedByteFailsCrc) {
-  const std::string path = FreshDir("flip") + "/x.ckpt";
+  const std::string path = test::FreshDir("flip") + "/x.ckpt";
   WriteSimpleCheckpoint(path, 42);
   // Flip one payload byte in place.
   {
@@ -92,7 +87,7 @@ TEST(CheckpointTest, FlippedByteFailsCrc) {
 }
 
 TEST(CheckpointTest, TruncationDetected) {
-  const std::string path = FreshDir("trunc") + "/x.ckpt";
+  const std::string path = test::FreshDir("trunc") + "/x.ckpt";
   WriteSimpleCheckpoint(path, 42);
   const auto full_size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, full_size - 3);
@@ -103,7 +98,7 @@ TEST(CheckpointTest, TruncationDetected) {
 }
 
 TEST(CheckpointTest, TruncationToBelowHeaderDetected) {
-  const std::string path = FreshDir("tiny") + "/x.ckpt";
+  const std::string path = test::FreshDir("tiny") + "/x.ckpt";
   WriteSimpleCheckpoint(path, 42);
   std::filesystem::resize_file(path, 5);
   CheckpointReader reader;
@@ -113,7 +108,7 @@ TEST(CheckpointTest, TruncationToBelowHeaderDetected) {
 }
 
 TEST(CheckpointTest, BadMagicDetected) {
-  const std::string path = FreshDir("magic") + "/x.ckpt";
+  const std::string path = test::FreshDir("magic") + "/x.ckpt";
   {
     std::ofstream out(path, std::ios::binary);
     out << "NOTACKPTxxxxxxxxxxxxxxxxxxxx";
@@ -127,24 +122,28 @@ TEST(CheckpointTest, BadMagicDetected) {
 TEST(CheckpointTest, MissingFileReportsOpenError) {
   CheckpointReader reader;
   std::string error;
-  EXPECT_FALSE(reader.Open(FreshDir("missing") + "/absent.ckpt", &error));
+  EXPECT_FALSE(reader.Open(test::FreshDir("missing") + "/absent.ckpt", &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
 TEST(CheckpointTest, CommitIntoMissingDirectoryFailsWithError) {
   const std::string path =
-      FreshDir("missing_dir") + "/no/such/dir/x.ckpt";
+      test::FreshDir("missing_dir") + "/no/such/dir/x.ckpt";
   CheckpointWriter writer(path);
   writer.BeginSection("data");
   writer.writer().WriteI64(7);
   std::string error;
   EXPECT_FALSE(writer.Commit(&error));
-  EXPECT_FALSE(error.empty());
+  // The fault is the path, not the disk: the message names the temp file
+  // that could not be created.
+  EXPECT_NE(error.find("cannot create " + path + ".tmp"), std::string::npos)
+      << error;
+  EXPECT_EQ(error.find("disk full"), std::string::npos) << error;
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(CheckpointTest, WrongSectionNameReported) {
-  const std::string path = FreshDir("section") + "/x.ckpt";
+  const std::string path = test::FreshDir("section") + "/x.ckpt";
   WriteSimpleCheckpoint(path, 42);
   CheckpointReader reader;
   std::string error;
@@ -155,7 +154,7 @@ TEST(CheckpointTest, WrongSectionNameReported) {
 }
 
 TEST(CheckpointTest, FinishRejectsTrailingBytes) {
-  const std::string path = FreshDir("trailing") + "/x.ckpt";
+  const std::string path = test::FreshDir("trailing") + "/x.ckpt";
   {
     CheckpointWriter writer(path);
     writer.BeginSection("data");
@@ -175,7 +174,7 @@ TEST(CheckpointTest, FinishRejectsTrailingBytes) {
 }
 
 TEST(CheckpointerTest, RetainsNewestK) {
-  Checkpointer checkpointer({FreshDir("retain"), /*retain=*/2});
+  Checkpointer checkpointer({test::FreshDir("retain"), /*retain=*/2});
   std::string error;
   for (int64_t step = 1; step <= 5; ++step) {
     ASSERT_TRUE(checkpointer.WriteSnapshot(
@@ -191,7 +190,7 @@ TEST(CheckpointerTest, RetainsNewestK) {
 }
 
 TEST(CheckpointerTest, RestoreLatestPicksNewest) {
-  Checkpointer checkpointer({FreshDir("latest"), 3});
+  Checkpointer checkpointer({test::FreshDir("latest"), 3});
   std::string error;
   for (int64_t step : {10, 20, 30}) {
     ASSERT_TRUE(checkpointer.WriteSnapshot(
@@ -218,7 +217,7 @@ TEST(CheckpointerTest, RestoreLatestPicksNewest) {
 }
 
 TEST(CheckpointerTest, FallsBackToOlderIntactSnapshot) {
-  Checkpointer checkpointer({FreshDir("fallback"), 3});
+  Checkpointer checkpointer({test::FreshDir("fallback"), 3});
   std::string error;
   for (int64_t step : {1, 2}) {
     ASSERT_TRUE(checkpointer.WriteSnapshot(
@@ -249,7 +248,7 @@ TEST(CheckpointerTest, FallsBackToOlderIntactSnapshot) {
 }
 
 TEST(CheckpointerTest, EmptyDirReportsNoSnapshots) {
-  Checkpointer checkpointer({FreshDir("empty"), 3});
+  Checkpointer checkpointer({test::FreshDir("empty"), 3});
   int64_t step = 0;
   std::string error;
   EXPECT_FALSE(checkpointer.RestoreLatest(
@@ -258,7 +257,7 @@ TEST(CheckpointerTest, EmptyDirReportsNoSnapshots) {
 }
 
 TEST(CheckpointerTest, ForeignFilesInDirIgnored) {
-  const std::string dir = FreshDir("foreign");
+  const std::string dir = test::FreshDir("foreign");
   { std::ofstream(dir + "/notes.txt") << "not a checkpoint"; }
   { std::ofstream(dir + "/step-abc.ckpt") << "bad digits"; }
   Checkpointer checkpointer({dir, 3});

@@ -14,16 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.h"
+
 namespace ppn::exec {
 namespace {
 
 using strategies::StrategySpec;
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/sweep_resume_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;  // Created by the runner.
-}
 
 ExperimentSpec SmallClassicSpec() {
   ExperimentSpec spec;
@@ -68,7 +64,7 @@ size_t CountCellCheckpoints(const std::string& dir) {
 TEST(SweepResumeTest, CheckpointedRunMatchesUncheckpointed) {
   const ExperimentSpec plain = SmallClassicSpec();
   ExperimentSpec checkpointed = plain;
-  checkpointed.checkpoint_dir = FreshDir("match");
+  checkpointed.checkpoint_dir = test::FreshDir("match");
   const ExperimentRunner runner(2);
   const std::vector<CellResult> expected = runner.Run(plain);
   const std::vector<CellResult> actual = runner.Run(checkpointed);
@@ -78,7 +74,7 @@ TEST(SweepResumeTest, CheckpointedRunMatchesUncheckpointed) {
 }
 
 TEST(SweepResumeTest, RestartRecomputesOnlyUnfinishedCells) {
-  const std::string dir = FreshDir("restart");
+  const std::string dir = test::FreshDir("restart");
   // "Killed" first attempt: only a subset of strategies finished.
   ExperimentSpec partial = SmallClassicSpec();
   partial.checkpoint_dir = dir;
@@ -100,7 +96,7 @@ TEST(SweepResumeTest, RestartRecomputesOnlyUnfinishedCells) {
 
 TEST(SweepResumeTest, SecondRunRestoresEveryCell) {
   ExperimentSpec spec = SmallClassicSpec();
-  spec.checkpoint_dir = FreshDir("warm");
+  spec.checkpoint_dir = test::FreshDir("warm");
   const ExperimentRunner runner(2);
   const std::vector<CellResult> first = runner.Run(spec);
   const std::vector<CellResult> second = runner.Run(spec);
@@ -114,7 +110,7 @@ TEST(SweepResumeTest, SecondRunRestoresEveryCell) {
 
 TEST(SweepResumeTest, CorruptCellCheckpointIsRecomputed) {
   ExperimentSpec spec = SmallClassicSpec();
-  spec.checkpoint_dir = FreshDir("corrupt");
+  spec.checkpoint_dir = test::FreshDir("corrupt");
   const ExperimentRunner runner(1);
   const std::vector<CellResult> reference = runner.Run(spec);
   // Flip a byte in every cell file; the CRC check must reject them all and
@@ -136,7 +132,7 @@ TEST(SweepResumeTest, CorruptCellCheckpointIsRecomputed) {
 
 TEST(SweepResumeTest, RecordRequestForcesRecomputeWhenNotStored) {
   ExperimentSpec spec = SmallClassicSpec();
-  spec.checkpoint_dir = FreshDir("records");
+  spec.checkpoint_dir = test::FreshDir("records");
   const ExperimentRunner runner(1);
   runner.Run(spec);  // keep_records = false: no records in the cell files.
   spec.keep_records = true;
@@ -158,7 +154,7 @@ TEST(SweepResumeTest, RecordRequestForcesRecomputeWhenNotStored) {
 TEST(SweepResumeTest, ResumeIsBitIdenticalAcrossWorkerCounts) {
   // The killed-sweep restart must preserve the key-derived-seed guarantee:
   // restore on 1 worker, restore on 4 workers, fresh on 4 — all identical.
-  const std::string dir = FreshDir("workers");
+  const std::string dir = test::FreshDir("workers");
   ExperimentSpec partial = SmallClassicSpec();
   partial.checkpoint_dir = dir;
   partial.strategies = {StrategySpec{.name = "CRP"}};

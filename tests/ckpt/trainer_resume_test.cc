@@ -6,7 +6,6 @@
 // moments, RNG streams, PVM, step counters).
 
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -16,16 +15,10 @@
 #include "market/generator.h"
 #include "ppn/ddpg.h"
 #include "ppn/trainer.h"
+#include "test_dir.h"
 
 namespace ppn::core {
 namespace {
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/resume_test_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 market::MarketDataset SmallDataset() {
   market::SyntheticMarketConfig config;
@@ -74,7 +67,7 @@ void ExpectBitIdenticalParameters(const nn::Module& a, const nn::Module& b) {
 
 TEST(TrainerResumeTest, ResumedRunIsBitIdenticalToUninterrupted) {
   const market::MarketDataset dataset = SmallDataset();
-  const std::string ckpt_path = FreshDir("ppn") + "/mid.ckpt";
+  const std::string ckpt_path = test::FreshDir("ppn") + "/mid.ckpt";
   constexpr int64_t kInterruptAt = 13;
 
   // Uninterrupted reference run.
@@ -143,7 +136,7 @@ TEST(TrainerResumeTest, ResumedRunIsBitIdenticalToUninterrupted) {
 
 TEST(TrainerResumeTest, LoadRejectsConfigMismatch) {
   const market::MarketDataset dataset = SmallDataset();
-  const std::string ckpt_path = FreshDir("mismatch") + "/mid.ckpt";
+  const std::string ckpt_path = test::FreshDir("mismatch") + "/mid.ckpt";
   {
     Rng init(1);
     Rng dropout(2);
@@ -170,7 +163,7 @@ TEST(TrainerResumeTest, LoadRejectsConfigMismatch) {
 
 TEST(TrainerResumeTest, LoadRejectsMissingDropoutStream) {
   const market::MarketDataset dataset = SmallDataset();
-  const std::string ckpt_path = FreshDir("dropout") + "/mid.ckpt";
+  const std::string ckpt_path = test::FreshDir("dropout") + "/mid.ckpt";
   {
     Rng init(1);
     Rng dropout(2);
@@ -209,7 +202,7 @@ TEST(DdpgResumeTest, ResumedRunIsBitIdenticalToUninterrupted) {
   ddpg_config.warmup = 6;
   ddpg_config.batch_size = 4;
   ddpg_config.seed = 7;
-  const std::string ckpt_path = FreshDir("ddpg") + "/mid.ckpt";
+  const std::string ckpt_path = test::FreshDir("ddpg") + "/mid.ckpt";
   constexpr int64_t kInterruptAt = 7;
 
   // Uninterrupted reference run.

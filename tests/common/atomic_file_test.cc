@@ -13,15 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.h"
+
 namespace ppn {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/atomic_file_" + name;
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-  return path;
-}
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -31,7 +26,7 @@ std::string ReadAll(const std::string& path) {
 }
 
 TEST(AtomicFileTest, CommitPublishesContentAndRemovesTemp) {
-  const std::string path = TempPath("commit");
+  const std::string path = test::FreshDir("commit") + "/atomic_file_commit";
   {
     AtomicFileWriter writer(path);
     ASSERT_TRUE(writer.ok());
@@ -44,7 +39,7 @@ TEST(AtomicFileTest, CommitPublishesContentAndRemovesTemp) {
 }
 
 TEST(AtomicFileTest, AbandonedWriterLeavesTargetUntouched) {
-  const std::string path = TempPath("abandon");
+  const std::string path = test::FreshDir("abandon") + "/atomic_file_abandon";
   {
     std::ofstream prior(path);
     prior << "prior";
@@ -62,7 +57,7 @@ TEST(AtomicFileTest, AbandonedWriterLeavesTargetUntouched) {
 TEST(AtomicFileTest, CommitFailsWhenTempVanished) {
   // If the temporary disappears under us (tmp reaper, hostile cleanup),
   // the fsync-before-rename path must report failure, not publish.
-  const std::string path = TempPath("vanished");
+  const std::string path = test::FreshDir("vanished") + "/atomic_file_vanished";
   AtomicFileWriter writer(path);
   ASSERT_TRUE(writer.ok());
   writer.stream() << "data";
@@ -73,7 +68,7 @@ TEST(AtomicFileTest, CommitFailsWhenTempVanished) {
 }
 
 TEST(AtomicFileTest, CommitIsSingleShot) {
-  const std::string path = TempPath("single");
+  const std::string path = test::FreshDir("single") + "/atomic_file_single";
   AtomicFileWriter writer(path);
   writer.stream() << "x";
   EXPECT_TRUE(writer.Commit());

@@ -7,18 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include "test_dir.h"
+
 namespace ppn {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 TEST(CsvTest, RoundTrip) {
   CsvTable table;
   table.header = {"a", "b", "c"};
   table.rows = {{1.0, 2.5, -3.0}, {0.0, 1e-9, 4.25}};
-  const std::string path = TempPath("roundtrip.csv");
+  const std::string path = test::FreshDir("roundtrip") + "/roundtrip.csv";
   ASSERT_TRUE(WriteCsv(path, table));
   CsvTable loaded;
   ASSERT_TRUE(ReadCsv(path, &loaded));
@@ -34,7 +32,7 @@ TEST(CsvTest, RoundTrip) {
 TEST(CsvTest, EmptyRowsRoundTrip) {
   CsvTable table;
   table.header = {"x"};
-  const std::string path = TempPath("empty.csv");
+  const std::string path = test::FreshDir("empty") + "/empty.csv";
   ASSERT_TRUE(WriteCsv(path, table));
   CsvTable loaded;
   ASSERT_TRUE(ReadCsv(path, &loaded));
@@ -46,17 +44,17 @@ TEST(CsvTest, WriteRejectsRaggedRows) {
   CsvTable table;
   table.header = {"a", "b"};
   table.rows = {{1.0}};
-  EXPECT_FALSE(WriteCsv(TempPath("ragged.csv"), table));
+  EXPECT_FALSE(WriteCsv(test::FreshDir("ragged") + "/ragged.csv", table));
 }
 
 TEST(CsvTest, ReadFailsOnMissingFile) {
   CsvTable table;
-  EXPECT_FALSE(ReadCsv(TempPath("does_not_exist.csv"), &table));
+  EXPECT_FALSE(ReadCsv(test::FreshDir("missing") + "/missing.csv", &table));
   EXPECT_TRUE(table.header.empty());
 }
 
 TEST(CsvTest, ReadFailsOnNonNumericCell) {
-  const std::string path = TempPath("bad.csv");
+  const std::string path = test::FreshDir("bad") + "/bad.csv";
   {
     std::ofstream out(path);
     out << "a,b\n1.0,hello\n";
@@ -67,7 +65,7 @@ TEST(CsvTest, ReadFailsOnNonNumericCell) {
 }
 
 TEST(CsvTest, ReadFailsOnRaggedRow) {
-  const std::string path = TempPath("ragged_read.csv");
+  const std::string path = test::FreshDir("ragged_read") + "/ragged_read.csv";
   {
     std::ofstream out(path);
     out << "a,b\n1.0\n";
@@ -85,7 +83,8 @@ TEST(CsvTest, WriteFailsOnBadPath) {
 TEST(CsvTest, ReadRejectsTrailingGarbageInCell) {
   // Regression: strtod("1.5abc") parses 1.5 and the old reader accepted
   // it, silently truncating malformed data. A cell must be fully numeric.
-  const std::string path = TempPath("trailing_garbage.csv");
+  const std::string path =
+      test::FreshDir("trailing_garbage") + "/trailing_garbage.csv";
   {
     std::ofstream out(path);
     out << "a,b\n1.5abc,2.0\n";
@@ -96,7 +95,7 @@ TEST(CsvTest, ReadRejectsTrailingGarbageInCell) {
 }
 
 TEST(CsvTest, ReadRejectsEmbeddedSecondNumber) {
-  const std::string path = TempPath("two_numbers.csv");
+  const std::string path = test::FreshDir("two_numbers") + "/two_numbers.csv";
   {
     std::ofstream out(path);
     out << "a\n1.5 2.5\n";
@@ -108,7 +107,7 @@ TEST(CsvTest, ReadRejectsEmbeddedSecondNumber) {
 TEST(CsvTest, ReadAcceptsSurroundingWhitespaceAndCrlf) {
   // Whitespace padding and DOS line endings are benign formatting, not
   // data corruption; the strict parse must still accept them.
-  const std::string path = TempPath("whitespace.csv");
+  const std::string path = test::FreshDir("whitespace") + "/whitespace.csv";
   {
     std::ofstream out(path);
     out << "a,b\n 1.5 ,2.5\r\n";
@@ -121,7 +120,7 @@ TEST(CsvTest, ReadAcceptsSurroundingWhitespaceAndCrlf) {
 }
 
 TEST(CsvTest, ReadRejectsWhitespaceOnlyCell) {
-  const std::string path = TempPath("blank_cell.csv");
+  const std::string path = test::FreshDir("blank_cell") + "/blank_cell.csv";
   {
     std::ofstream out(path);
     out << "a,b\n1.0,  \n";
@@ -134,7 +133,7 @@ TEST(CsvTest, WriteIsAtomic) {
   CsvTable table;
   table.header = {"a"};
   table.rows = {{1.0}};
-  const std::string path = TempPath("atomic.csv");
+  const std::string path = test::FreshDir("atomic") + "/atomic.csv";
   ASSERT_TRUE(WriteCsv(path, table));
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));

@@ -41,11 +41,9 @@ TEST(EnvRegistryTest, ListsEveryKnownKnob) {
   const std::vector<VarInfo>& registry = Registry();
   EXPECT_GE(registry.size(), 12u);
   for (const char* required :
-       {"PPN_WORKERS", "PPN_SCALE", "PPN_OBS", "PPN_TRACE_JSON",
-        "PPN_TRACE_CAPACITY", "PPN_TRACE_MIN_US",
+       {"PPN_WORKERS", "PPN_SCALE", "PPN_TRACE_JSON", "PPN_TRACE_CAPACITY",
         "PPN_RUNLOG_DIR", "PPN_RESULTS_JSON", "PPN_NO_POOL",
-        "PPN_BENCH_GATE", "PPN_BENCH_REPS", "PPN_STATS_JSONL",
-        "PPN_SAMPLE_MS", "PPN_HEALTH"}) {
+        "PPN_STATS_JSONL", "PPN_SAMPLE_MS", "PPN_HEALTH"}) {
     bool found = false;
     for (const VarInfo& info : registry) {
       if (std::string(info.name) == required) {
@@ -71,19 +69,19 @@ TEST(EnvAccessorTest, IsSetHasValueDistinguishEmpty) {
 }
 
 TEST(EnvAccessorTest, FlagSemantics) {
-  ScopedEnvVar var("PPN_OBS");
+  ScopedEnvVar var("PPN_NO_POOL");
   var.Unset();
-  EXPECT_FALSE(FlagSet("PPN_OBS"));
+  EXPECT_FALSE(FlagSet("PPN_NO_POOL"));
   var.Set("");
-  EXPECT_FALSE(FlagSet("PPN_OBS"));
+  EXPECT_FALSE(FlagSet("PPN_NO_POOL"));
   var.Set("0");
-  EXPECT_FALSE(FlagSet("PPN_OBS"));
+  EXPECT_FALSE(FlagSet("PPN_NO_POOL"));
   var.Set("1");
-  EXPECT_TRUE(FlagSet("PPN_OBS"));
+  EXPECT_TRUE(FlagSet("PPN_NO_POOL"));
   var.Set("yes");
-  EXPECT_TRUE(FlagSet("PPN_OBS"));
+  EXPECT_TRUE(FlagSet("PPN_NO_POOL"));
   var.Set("00");  // Only the exact string "0" means off.
-  EXPECT_TRUE(FlagSet("PPN_OBS"));
+  EXPECT_TRUE(FlagSet("PPN_NO_POOL"));
 }
 
 TEST(EnvAccessorTest, Int64FallsBackOnlyWhenUnset) {
@@ -97,11 +95,11 @@ TEST(EnvAccessorTest, Int64FallsBackOnlyWhenUnset) {
 }
 
 TEST(EnvAccessorTest, DoubleFallsBackOnlyWhenUnset) {
-  ScopedEnvVar var("PPN_TRACE_MIN_US");
+  ScopedEnvVar var("PPN_FABRIC_WORKER_TIMEOUT_S");
   var.Unset();
-  EXPECT_DOUBLE_EQ(DoubleOr("PPN_TRACE_MIN_US", 2.5), 2.5);
+  EXPECT_DOUBLE_EQ(DoubleOr("PPN_FABRIC_WORKER_TIMEOUT_S", 2.5), 2.5);
   var.Set("0.75");
-  EXPECT_DOUBLE_EQ(DoubleOr("PPN_TRACE_MIN_US", 2.5), 0.75);
+  EXPECT_DOUBLE_EQ(DoubleOr("PPN_FABRIC_WORKER_TIMEOUT_S", 2.5), 0.75);
 }
 
 TEST(EnvAccessorTest, StringOrUsesFallbackForEmpty) {
@@ -123,9 +121,10 @@ TEST(EnvDeathTest, MalformedIntAbortsNamingTheVariable) {
 }
 
 TEST(EnvDeathTest, MalformedDoubleAborts) {
-  ScopedEnvVar var("PPN_TRACE_MIN_US");
+  ScopedEnvVar var("PPN_FABRIC_WORKER_TIMEOUT_S");
   var.Set("fast");
-  EXPECT_DEATH(DoubleOr("PPN_TRACE_MIN_US", 0.0), "PPN_TRACE_MIN_US");
+  EXPECT_DEATH(DoubleOr("PPN_FABRIC_WORKER_TIMEOUT_S", 0.0),
+               "PPN_FABRIC_WORKER_TIMEOUT_S");
 }
 
 TEST(EnvDeathTest, MalformedSampleIntervalAborts) {

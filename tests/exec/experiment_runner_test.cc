@@ -17,6 +17,7 @@
 
 #include "common/json.h"
 #include "obs/stats.h"
+#include "test_dir.h"
 
 namespace ppn::exec {
 namespace {
@@ -270,7 +271,7 @@ TEST(WriteResultsJsonTest, DumpsKeyFieldsAndMetrics) {
   result.derived_seed = CellSeed(result.key);
   result.metrics.apv = 1.25;
   const std::string path =
-      testing::TempDir() + "/exec_experiment_results_test.json";
+      test::FreshDir("results_test") + "/results.json";
   ASSERT_TRUE(WriteResultsJson(path, {result}));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -294,7 +295,7 @@ TEST(WriteResultsJsonTest, DoublesRoundTripBitExactly) {
   result.metrics.sr_pct = 0.1;             // Not exactly representable.
   result.metrics.turnover = 3.0e-300;      // Extreme exponent.
   const std::string path =
-      testing::TempDir() + "/exec_experiment_results_roundtrip.json";
+      test::FreshDir("results_roundtrip") + "/results.json";
   ASSERT_TRUE(WriteResultsJson(path, {result}));
   std::ifstream in(path);
   std::stringstream buffer;
@@ -324,7 +325,7 @@ TEST(WriteResultsJsonTest, ControlCharactersInNamesStayValidJson) {
   CellResult result;
   result.key = CellKey{strategy, dataset, 0.0025, 1};
   const std::string path =
-      testing::TempDir() + "/exec_experiment_results_control.json";
+      test::FreshDir("results_control") + "/results.json";
   ASSERT_TRUE(WriteResultsJson(path, {result}));
   std::ifstream in(path);
   std::stringstream buffer;
@@ -342,7 +343,7 @@ TEST(WriteResultsJsonTest, WritesAtomically) {
   // An existing target must never be visible half-overwritten: the new
   // content arrives via temp-then-rename, and no .tmp residue remains.
   const std::string path =
-      testing::TempDir() + "/exec_experiment_results_atomic.json";
+      test::FreshDir("results_atomic") + "/results.json";
   {
     std::ofstream prior(path);
     prior << "prior content";

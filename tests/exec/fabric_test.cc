@@ -19,6 +19,7 @@
 #include "common/json.h"
 #include "exec/experiment.h"
 #include "obs/stats.h"
+#include "test_dir.h"
 
 namespace ppn::exec {
 namespace {
@@ -53,12 +54,6 @@ class ScopedEnv {
   std::string old_;
 };
 
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/fabric_" + name;
-  std::filesystem::remove_all(dir);
-  return dir;  // Created by the fabric.
-}
-
 /// Classic-baseline spec: no training, so twelve cells finish in seconds
 /// even on one core, and every metric is exactly reproducible.
 ExperimentSpec SmallSpec() {
@@ -84,7 +79,7 @@ std::vector<std::string> SmallSpecArgv() {
 
 FabricOptions BaseOptions(const std::string& dir_name) {
   FabricOptions options;
-  options.fabric_dir = FreshDir(dir_name);
+  options.fabric_dir = test::FreshDir(dir_name);
   options.worker_argv = SmallSpecArgv();
   options.worker_timeout_s = 300.0;  // No accidental straggler triggers.
   options.max_restarts = 8;
@@ -265,7 +260,7 @@ TEST(FabricTest, ResumesFromExistingCellCheckpoints) {
   // A sweep pointed at a checkpoint dir that already holds every cell
   // dispatches nothing: no workers, rows assembled straight from disk.
   ExperimentSpec spec = SmallSpec();
-  spec.checkpoint_dir = FreshDir("resume_cells");
+  spec.checkpoint_dir = test::FreshDir("resume_cells");
   const std::vector<CellResult> expected = InProcessRows(spec);
 
   FabricOptions options = BaseOptions("resume");
@@ -399,8 +394,7 @@ TEST(FabricCliTest, Table3SmokeSpecMatchesAcrossProcessCountsAndAKill) {
   // plus the EIIE / PPN-I / PPN neural rows) run at --processes 4 with
   // one worker SIGKILLed mid-run, at --processes 1, and in-process — all
   // three bit-identical modulo wall_seconds.
-  const std::string dir = FreshDir("table3");
-  std::filesystem::create_directories(dir);
+  const std::string dir = test::FreshDir("table3");
   const std::string base =
       std::string(PPN_CLI_BIN) +
       " sweep --datasets crypto-a"
@@ -432,8 +426,7 @@ TEST(FabricCliTest, Table3SmokeSpecMatchesAcrossProcessCountsAndAKill) {
 }
 
 TEST(FabricCliTest, FourProcessSweepJsonMatchesOneProcessAndInProcess) {
-  const std::string dir = FreshDir("cli");
-  std::filesystem::create_directories(dir);
+  const std::string dir = test::FreshDir("cli");
   const std::string base =
       std::string(PPN_CLI_BIN) +
       " sweep --datasets crypto-a --strategies UBAH,CRP,OLMAR"

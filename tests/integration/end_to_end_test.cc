@@ -9,6 +9,7 @@
 #include "ppn/strategy_adapter.h"
 #include "ppn/trainer.h"
 #include "strategies/registry.h"
+#include "test_dir.h"
 
 namespace ppn {
 namespace {
@@ -108,7 +109,7 @@ TEST(EndToEndTest, SavedPolicyReproducesDecisions) {
   tc.steps = 10;
   core::PolicyGradientTrainer trainer(policy.get(), dataset, tc);
   trainer.Train();
-  const std::string path = ::testing::TempDir() + "/ppn_policy.ckpt";
+  const std::string path = test::FreshDir("policy") + "/ppn_policy.ckpt";
   std::string error;
   {
     ckpt::CheckpointWriter writer(path);

@@ -4,6 +4,7 @@
 
 #include "common/csv.h"
 #include "market/generator.h"
+#include "test_dir.h"
 
 namespace ppn::market {
 namespace {
@@ -19,7 +20,7 @@ MarketDataset SmallDataset() {
 
 TEST(DatasetIoTest, RoundTripPreservesEverything) {
   const MarketDataset original = SmallDataset();
-  const std::string prefix = ::testing::TempDir() + "/dataset_roundtrip";
+  const std::string prefix = test::FreshDir("roundtrip") + "/dataset";
   ASSERT_TRUE(SaveDataset(original, prefix));
   MarketDataset loaded;
   ASSERT_TRUE(LoadDataset(prefix, &loaded));
@@ -41,13 +42,13 @@ TEST(DatasetIoTest, RoundTripPreservesEverything) {
 TEST(DatasetIoTest, LoadFailsOnMissingFiles) {
   MarketDataset dataset;
   dataset.name = "untouched";
-  EXPECT_FALSE(LoadDataset(::testing::TempDir() + "/nope", &dataset));
+  EXPECT_FALSE(LoadDataset(test::FreshDir("nope") + "/nope", &dataset));
   EXPECT_EQ(dataset.name, "untouched");
 }
 
 TEST(DatasetIoTest, LoadRejectsTruncatedPrices) {
   const MarketDataset original = SmallDataset();
-  const std::string prefix = ::testing::TempDir() + "/dataset_trunc";
+  const std::string prefix = test::FreshDir("trunc") + "/dataset";
   ASSERT_TRUE(SaveDataset(original, prefix));
   // Truncate the prices file (keep header + one row).
   {
@@ -62,7 +63,7 @@ TEST(DatasetIoTest, LoadRejectsTruncatedPrices) {
 
 TEST(DatasetIoTest, LoadRejectsCorruptMeta) {
   const MarketDataset original = SmallDataset();
-  const std::string prefix = ::testing::TempDir() + "/dataset_badmeta";
+  const std::string prefix = test::FreshDir("badmeta") + "/dataset";
   ASSERT_TRUE(SaveDataset(original, prefix));
   {
     CsvTable meta;
@@ -77,8 +78,8 @@ TEST(DatasetIoTest, LoadRejectsCorruptMeta) {
 TEST(DatasetIoDeathTest, SaveRejectsIncompletePanel) {
   MarketDataset dataset;
   dataset.panel = OhlcPanel(5, 2);  // All NaN.
-  EXPECT_DEATH(SaveDataset(dataset, ::testing::TempDir() + "/nan"),
-               "incomplete");
+  const std::string prefix = test::FreshDir("nan") + "/nan";
+  EXPECT_DEATH(SaveDataset(dataset, prefix), "incomplete");
 }
 
 }  // namespace

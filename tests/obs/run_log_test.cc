@@ -21,6 +21,7 @@
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "ppn/trainer.h"
+#include "test_dir.h"
 
 namespace ppn::obs {
 namespace {
@@ -62,12 +63,6 @@ core::TrainerConfig SmallTrainerConfig() {
   return config;
 }
 
-std::string FreshPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(path);
-  return path;
-}
-
 /// Trains `steps` steps of the small setup, optionally logging to `path`,
 /// and returns the per-step rewards.
 std::vector<double> RunSteps(int steps, const std::string& runlog_path) {
@@ -106,7 +101,7 @@ TEST(RunLogTest, OpenReturnsNullWhenObsDisabled) {
   ScopedObsEnable disable(false);
   RunLogMeta meta;
   meta.run_id = "x";
-  EXPECT_EQ(RunLog::Open(::testing::TempDir() + "/unused.jsonl", meta),
+  EXPECT_EQ(RunLog::Open(test::FreshDir("unused") + "/unused.jsonl", meta),
             nullptr);
 }
 
@@ -119,7 +114,8 @@ TEST(RunLogTest, OpenReturnsNullForEmptyPath) {
 TEST(RunLogTest, WritesHeaderAndRoundTripsRecordsExactly) {
   ScopedObsEnable enable;
   SKIP_IF_COMPILED_OUT();
-  const std::string path = FreshPath("runlog_roundtrip.runlog.jsonl");
+  const std::string path =
+      test::FreshDir("roundtrip") + "/runlog_roundtrip.runlog.jsonl";
   RunLogMeta meta;
   meta.run_id = "PPN gamma=1e-3";
   meta.strategy = "PPN";
@@ -178,7 +174,8 @@ TEST(RunLogTest, WritesHeaderAndRoundTripsRecordsExactly) {
 TEST(RunLogTest, TrainerStreamsOneExactRecordPerStep) {
   ScopedObsEnable enable;
   SKIP_IF_COMPILED_OUT();
-  const std::string path = FreshPath("runlog_trainer.runlog.jsonl");
+  const std::string path =
+      test::FreshDir("trainer") + "/runlog_trainer.runlog.jsonl";
   constexpr int kSteps = 10;
   const std::vector<double> rewards = RunSteps(kSteps, path);
 
@@ -228,7 +225,8 @@ TEST(RunLogTest, AttachingARunLogDoesNotPerturbTraining) {
   std::vector<double> with_log;
   {
     ScopedObsEnable enable;
-    const std::string path = FreshPath("runlog_perturb.runlog.jsonl");
+    const std::string path =
+        test::FreshDir("perturb") + "/runlog_perturb.runlog.jsonl";
     with_log = RunSteps(6, path);
     std::remove(path.c_str());
   }
@@ -262,8 +260,8 @@ exec::ExperimentSpec TelemetrySpec(const std::string& telemetry_dir) {
 TEST(RunLogTest, SweepStreamsOneLogPerNeuralCellAndStaysDeterministic) {
   ScopedObsEnable enable;
   SKIP_IF_COMPILED_OUT();
-  const std::string dir_inline = FreshPath("runlog_sweep_w0");
-  const std::string dir_pooled = FreshPath("runlog_sweep_w4");
+  const std::string dir_inline = test::FreshDir("runlog_sweep_w0");
+  const std::string dir_pooled = test::FreshDir("runlog_sweep_w4");
 
   // Worker-count determinism with telemetry enabled: inline (0 workers)
   // and a 4-worker pool must produce bit-identical metrics.
@@ -324,7 +322,8 @@ TEST(RunLogTest, ReportSummarizesTraceFiles) {
     Span outer("t.report.outer");
     Span inner("t.report.inner");
   }
-  const std::string path = FreshPath("runlog_trace_report.json");
+  const std::string path =
+      test::FreshDir("trace_report") + "/runlog_trace_report.json";
   ASSERT_TRUE(WriteTraceJson(path));
   std::vector<SpanStat> spans;
   std::string error;
@@ -347,11 +346,12 @@ TEST(RunLogTest, ReportSummarizesTraceFiles) {
 TEST(RunLogTest, ReadRunLogRejectsMissingOrMalformedFiles) {
   ParsedRunLog parsed;
   std::string error;
-  EXPECT_FALSE(ReadRunLog(::testing::TempDir() + "/does_not_exist.jsonl",
+  EXPECT_FALSE(ReadRunLog(test::FreshDir("missing") + "/does_not_exist.jsonl",
                           &parsed, &error));
   EXPECT_FALSE(error.empty());
 
-  const std::string path = FreshPath("runlog_bad_schema.runlog.jsonl");
+  const std::string path =
+      test::FreshDir("bad_schema") + "/runlog_bad_schema.runlog.jsonl";
   {
     std::ofstream out(path);
     out << "{\"schema\": \"ppn.runlog.v999\"}\n";

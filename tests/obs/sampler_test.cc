@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -18,6 +17,7 @@
 #include "common/json.h"
 #include "obs/health.h"
 #include "obs/stats.h"
+#include "test_dir.h"
 
 namespace ppn::obs {
 namespace {
@@ -28,13 +28,6 @@ namespace {
 #else
 #define SKIP_IF_COMPILED_OUT()
 #endif
-
-std::string FreshPath(const std::string& name) {
-  const std::string path =
-      ::testing::TempDir() + "/sampler_" + name + ".stats.jsonl";
-  std::filesystem::remove(path);
-  return path;
-}
 
 std::vector<std::string> RawLines(const std::string& path) {
   std::ifstream in(path);
@@ -57,7 +50,7 @@ TEST_F(SamplerTest, DisabledOrPathlessStartReturnsNull) {
   EXPECT_EQ(StatsSampler::Start(options), nullptr);
 #ifndef PPN_OBS_DISABLED
   SetEnabled(false);
-  options.path = FreshPath("disabled");
+  options.path = test::FreshDir("disabled") + "/sampler_disabled.stats.jsonl";
   EXPECT_EQ(StatsSampler::Start(options), nullptr);
   SetEnabled(true);
 #endif
@@ -65,7 +58,8 @@ TEST_F(SamplerTest, DisabledOrPathlessStartReturnsNull) {
 
 TEST_F(SamplerTest, ShortRunStillEmitsHeaderAndAtLeastOneSample) {
   SKIP_IF_COMPILED_OUT();
-  const std::string path = FreshPath("short");
+  const std::string path =
+      test::FreshDir("short") + "/sampler_short.stats.jsonl";
   SamplerOptions options;
   options.path = path;
   options.sample_ms = 60'000;  // Far longer than the test: only the
@@ -93,7 +87,8 @@ TEST_F(SamplerTest, ShortRunStillEmitsHeaderAndAtLeastOneSample) {
 
 TEST_F(SamplerTest, CounterDeltasAcrossWindowsSumToTheTotal) {
   SKIP_IF_COMPILED_OUT();
-  const std::string path = FreshPath("deltas");
+  const std::string path =
+      test::FreshDir("deltas") + "/sampler_deltas.stats.jsonl";
   SamplerOptions options;
   options.path = path;
   options.sample_ms = 5;
@@ -139,7 +134,8 @@ TEST_F(SamplerTest, CounterDeltasAcrossWindowsSumToTheTotal) {
 
 TEST_F(SamplerTest, TotalLineIsTheWholeRunProfile) {
   SKIP_IF_COMPILED_OUT();
-  const std::string path = FreshPath("total");
+  const std::string path =
+      test::FreshDir("total") + "/sampler_total.stats.jsonl";
   SamplerOptions options;
   options.path = path;
   options.sample_ms = 5;  // Several windows, so deltas != totals.
@@ -201,7 +197,8 @@ TEST_F(SamplerTest, TotalLineIsTheWholeRunProfile) {
 
 TEST_F(SamplerTest, DoublesRoundTripBitExactThroughCommonJson) {
   SKIP_IF_COMPILED_OUT();
-  const std::string path = FreshPath("roundtrip");
+  const std::string path =
+      test::FreshDir("roundtrip") + "/sampler_roundtrip.stats.jsonl";
   // A value with no short decimal representation: %.17g must carry
   // every bit through the stream and back out of the parser.
   const double awkward = 0.1234567890123456789;
@@ -236,7 +233,8 @@ TEST_F(SamplerTest, DoublesRoundTripBitExactThroughCommonJson) {
 
 TEST_F(SamplerTest, HealthVerdictsLandOnSampleLines) {
   SKIP_IF_COMPILED_OUT();
-  const std::string path = FreshPath("health");
+  const std::string path =
+      test::FreshDir("health") + "/sampler_health.stats.jsonl";
   SamplerOptions options;
   options.path = path;
   options.sample_ms = 60'000;
@@ -263,7 +261,7 @@ TEST_F(SamplerTest, ConcurrentMetricUpdatesWhileSamplingAreClean) {
   SKIP_IF_COMPILED_OUT();
   // The tsan-lane case: worker threads hammer the registry while the
   // sampling thread snapshots it and the owner polls health.
-  const std::string path = FreshPath("tsan");
+  const std::string path = test::FreshDir("tsan") + "/sampler_tsan.stats.jsonl";
   SamplerOptions options;
   options.path = path;
   options.sample_ms = 2;
@@ -300,8 +298,10 @@ TEST_F(SamplerTest, ConcurrentMetricUpdatesWhileSamplingAreClean) {
 
 TEST_F(SamplerTest, MergeStampsProcessAndGlobalTimePreservingPayload) {
   SKIP_IF_COMPILED_OUT();
-  const std::string path_a = FreshPath("merge_a");
-  const std::string path_b = FreshPath("merge_b");
+  const std::string path_a =
+      test::FreshDir("merge_a") + "/sampler_merge_a.stats.jsonl";
+  const std::string path_b =
+      test::FreshDir("merge_b") + "/sampler_merge_b.stats.jsonl";
   for (const auto& [path, metric] :
        {std::pair<std::string, std::string>{path_a, "sampler.test.merge_a"},
         std::pair<std::string, std::string>{path_b,
@@ -316,7 +316,7 @@ TEST_F(SamplerTest, MergeStampsProcessAndGlobalTimePreservingPayload) {
   }
 
   const std::string merged_path =
-      ::testing::TempDir() + "/sampler_merged.jsonl";
+      test::FreshDir("merged") + "/sampler_merged.jsonl";
   std::string error;
   int skipped = -1;
   ASSERT_TRUE(MergeStatsStreams({path_a, path_b}, merged_path, &error,
@@ -362,9 +362,11 @@ TEST_F(SamplerTest, ReadRejectsMissingAndForeignFiles) {
   StatsStream stream;
   std::string error;
   EXPECT_FALSE(ReadStatsStream(
-      ::testing::TempDir() + "/sampler_nonexistent.jsonl", &stream, &error));
+      test::FreshDir("nonexistent") + "/sampler_nonexistent.jsonl", &stream,
+      &error));
   EXPECT_FALSE(error.empty());
-  const std::string foreign = ::testing::TempDir() + "/sampler_foreign.jsonl";
+  const std::string foreign =
+      test::FreshDir("foreign") + "/sampler_foreign.jsonl";
   {
     std::ofstream out(foreign);
     out << "{\"schema\": \"something.else\"}\n";
@@ -373,7 +375,7 @@ TEST_F(SamplerTest, ReadRejectsMissingAndForeignFiles) {
 }
 
 TEST_F(SamplerTest, ReadSkipsTornTrailingLines) {
-  const std::string path = ::testing::TempDir() + "/sampler_torn.jsonl";
+  const std::string path = test::FreshDir("torn") + "/sampler_torn.jsonl";
   {
     std::ofstream out(path);
     out << "{\"schema\": \"ppn.stats.v1\", \"process\": \"p\", "

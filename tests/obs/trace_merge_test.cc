@@ -22,6 +22,7 @@
 
 #include "common/json.h"
 #include "obs/sampler.h"
+#include "test_dir.h"
 
 namespace ppn::obs {
 namespace {
@@ -54,13 +55,6 @@ class ScopedEnv {
   bool had_old_ = false;
   std::string old_;
 };
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/trace_merge_" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -146,7 +140,7 @@ void LoadMerged(const std::string& path, MergedView* view) {
 }
 
 TEST(TraceMergeTest, SyntheticTwoProcessMergeIsValidAndPaired) {
-  const std::string dir = FreshDir("synthetic");
+  const std::string dir = test::FreshDir("synthetic");
   const int64_t base_epoch = 1'700'000'000'000'000;
   WriteFile(dir + "/coord.json", CoordinatorTrace(base_epoch));
   // The worker's wall clock is 1000 us ahead: its local ts values must be
@@ -260,7 +254,7 @@ TEST(TraceMergeTest, SyntheticTwoProcessMergeIsValidAndPaired) {
 TEST(TraceMergeTest, SameProcessDispatchAndCellPairsAreSuppressed) {
   // Dispatch and cell in ONE file (e.g. an in-process sweep's trace):
   // a flow arrow from a process to itself is noise, not a handoff.
-  const std::string dir = FreshDir("same_pid");
+  const std::string dir = test::FreshDir("same_pid");
   WriteFile(dir + "/solo.json", R"({"traceEvents": [
     {"name": "fabric.dispatch", "ph": "X", "ts": 10.0, "dur": 5.0,
      "pid": 1, "tid": 1, "args": {"index": 0}},
@@ -276,7 +270,7 @@ TEST(TraceMergeTest, SameProcessDispatchAndCellPairsAreSuppressed) {
 }
 
 TEST(TraceMergeTest, UnreadableInputsAreSkippedNotFatal) {
-  const std::string dir = FreshDir("skip");
+  const std::string dir = test::FreshDir("skip");
   WriteFile(dir + "/good.json", CoordinatorTrace(0));
   WriteFile(dir + "/bad.json", "this is not json");
   TraceMergeStats stats;
@@ -324,7 +318,7 @@ int RunCommand(const std::string& command) {
 }
 
 TEST(TraceMergeCliTest, TracedTwoProcessSweepStitchesOneTimeline) {
-  const std::string dir = FreshDir("cli_e2e");
+  const std::string dir = test::FreshDir("cli_e2e");
   const std::string fabric_dir = dir + "/fab";
   const std::string log = dir + "/cli.log";
   const std::string base =
@@ -428,7 +422,7 @@ TEST(TraceMergeCliTest, TracedTwoProcessSweepStitchesOneTimeline) {
 }
 
 TEST(TraceMergeCliTest, FailingHealthRuleMakesTheRunExitNonzero) {
-  const std::string dir = FreshDir("cli_health");
+  const std::string dir = test::FreshDir("cli_health");
   const std::string log = dir + "/cli.log";
   const std::string base =
       std::string(PPN_CLI_BIN) + " baselines --dataset crypto-a";
@@ -437,7 +431,6 @@ TEST(TraceMergeCliTest, FailingHealthRuleMakesTheRunExitNonzero) {
 #endif
   {
     // An invariant that cannot hold: at least one solver call happens.
-    const ScopedEnv obs("PPN_OBS", "1");
     const ScopedEnv health("PPN_HEALTH", "backtest.solver.calls==0");
     const int status =
         RunCommand(base + " > " + log + " 2>&1");
@@ -450,7 +443,6 @@ TEST(TraceMergeCliTest, FailingHealthRuleMakesTheRunExitNonzero) {
       << text.str();
   {
     // And the same rule inverted passes with exit 0.
-    const ScopedEnv obs("PPN_OBS", "1");
     const ScopedEnv health("PPN_HEALTH", "backtest.solver.calls>=1");
     EXPECT_EQ(RunCommand(base + " > " + log + " 2>&1"), 0);
   }

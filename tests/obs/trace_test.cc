@@ -17,6 +17,7 @@
 #include "exec/thread_pool.h"
 #include "market/presets.h"
 #include "obs/stats.h"
+#include "test_dir.h"
 
 namespace ppn::obs {
 namespace {
@@ -214,7 +215,7 @@ TEST_F(ObsTraceTest, SweepTraceIsValidChromeJsonWithNestingAndFlows) {
   const std::vector<exec::CellResult> rows = runner.Run(spec);
   ASSERT_EQ(rows.size(), 4u);
 
-  const std::string path = ::testing::TempDir() + "/obs_trace_sweep.json";
+  const std::string path = test::FreshDir("sweep") + "/obs_trace_sweep.json";
   ASSERT_TRUE(WriteTraceJson(path));
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());

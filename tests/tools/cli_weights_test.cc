@@ -1,7 +1,8 @@
 // The CLI's weight file end to end: `train --weights` writes one
 // checkpoint, `backtest` and `serve` load it, and a damaged copy is
 // refused with the checkpoint reader's error and exit status 1 — never an
-// abort. Runs the real binary (PPN_CLI_BIN, injected by CMake).
+// abort; a flag left without its value is refused. Runs the real binary
+// (PPN_CLI_BIN, injected by CMake).
 
 #include <sys/wait.h>
 
@@ -13,14 +14,9 @@
 
 #include <gtest/gtest.h>
 
-namespace {
+#include "test_dir.h"
 
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/cli_weights_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+namespace {
 
 /// Runs `ppn_cli <args>` at smoke scale with output captured to `log`;
 /// returns the exit status (-1 when the process did not exit normally).
@@ -39,7 +35,7 @@ std::string ReadAll(const std::string& path) {
 }
 
 TEST(CliWeightsTest, TrainBacktestServeRoundTripAndTruncationIsRefused) {
-  const std::string dir = FreshDir("roundtrip");
+  const std::string dir = ppn::test::FreshDir("roundtrip");
   const std::string weights = dir + "/policy.ckpt";
   const std::string log = dir + "/cli.log";
 
@@ -62,6 +58,15 @@ TEST(CliWeightsTest, TrainBacktestServeRoundTripAndTruncationIsRefused) {
   EXPECT_NE(ReadAll(log).find("CRC mismatch"), std::string::npos)
       << ReadAll(log);
   std::filesystem::remove_all(dir);
+}
+
+TEST(CliWeightsTest, TrailingFlagWithoutValueIsRejected) {
+  // `backtest --weights` with no path must not fall back to the default
+  // policy.ckpt: it exits 2 and names the flag.
+  const std::string log = ppn::test::FreshDir("trailing") + "/cli.log";
+  EXPECT_EQ(RunCli("backtest --weights", log), 2) << ReadAll(log);
+  EXPECT_NE(ReadAll(log).find("'--weights' needs a value"), std::string::npos)
+      << ReadAll(log);
 }
 
 }  // namespace

@@ -125,10 +125,14 @@ using Flags = std::map<std::string, std::string>;
 
 Flags ParseFlags(int argc, char** argv, int first) {
   Flags flags;
-  for (int i = first; i + 1 < argc; i += 2) {
+  for (int i = first; i < argc; i += 2) {
     const char* key = argv[i];
     if (std::strncmp(key, "--", 2) != 0) {
       std::fprintf(stderr, "expected --flag, got '%s'\n", key);
+      std::exit(2);
+    }
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "flag '%s' needs a value\n", key);
       std::exit(2);
     }
     flags[key + 2] = argv[i + 1];
@@ -198,22 +202,27 @@ void PrintMetrics(const std::string& label, const backtest::Metrics& m) {
       label.c_str(), m.apv, m.sr_pct, m.std_pct, m.cr, m.mdd_pct, m.turnover);
 }
 
-/// Loads a `train --weights` file — a checkpoint (ckpt/checkpoint.h) with
-/// one `policy` section holding `Module::SaveState` — into `policy`. On a
-/// missing or corrupt file or a shape mismatch prints the reader's error
-/// and returns false.
-bool LoadPolicy(const std::string& path, nn::Module* policy) {
+/// Builds the `config` policy and loads the `--weights` file (default
+/// policy.ckpt) into it: a checkpoint (ckpt/checkpoint.h) with one `policy`
+/// section holding `Module::SaveState`. `dropout` must outlive the policy.
+/// On a missing or corrupt file or a shape mismatch prints the reader's
+/// error and returns null.
+std::unique_ptr<core::PolicyModule> LoadTrainedPolicy(
+    const Flags& flags, const core::PolicyConfig& config, Rng* dropout) {
+  Rng init(1);
+  auto policy = core::MakePolicy(config, &init, dropout);
+  const std::string path = FlagOr(flags, "weights", "policy.ckpt");
   ckpt::CheckpointReader reader;
   std::string error;
   if (reader.Open(path, &error) && reader.EnterSection("policy", &error) &&
       policy->LoadState(&reader.reader(), &error) && reader.Finish(&error)) {
-    return true;
+    return policy;
   }
   std::fprintf(stderr,
                "failed loading weights '%s': %s (train first, and use the "
                "same --variant/--window)\n",
                path.c_str(), error.c_str());
-  return false;
+  return nullptr;
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -334,12 +343,9 @@ int CmdTrain(const Flags& flags) {
 int CmdBacktest(const Flags& flags) {
   const market::MarketDataset dataset = ResolveDataset(flags);
   const core::PolicyConfig policy_config = PolicyConfigFor(flags, dataset);
-  Rng init(1);
   Rng dropout(2);
-  auto policy = core::MakePolicy(policy_config, &init, &dropout);
-  if (!LoadPolicy(FlagOr(flags, "weights", "policy.ckpt"), policy.get())) {
-    return 1;
-  }
+  auto policy = LoadTrainedPolicy(flags, policy_config, &dropout);
+  if (policy == nullptr) return 1;
   core::PolicyStrategy strategy(policy.get(),
                                 core::VariantName(policy_config.variant));
   PrintMetrics(core::VariantName(policy_config.variant),
@@ -363,12 +369,9 @@ double ExactPercentile(const std::vector<double>& sorted, double q) {
 int CmdServe(const Flags& flags) {
   const market::MarketDataset dataset = ResolveDataset(flags);
   const core::PolicyConfig policy_config = PolicyConfigFor(flags, dataset);
-  Rng init(1);
   Rng dropout(2);
-  auto policy = core::MakePolicy(policy_config, &init, &dropout);
-  if (!LoadPolicy(FlagOr(flags, "weights", "policy.ckpt"), policy.get())) {
-    return 1;
-  }
+  auto policy = LoadTrainedPolicy(flags, policy_config, &dropout);
+  if (policy == nullptr) return 1;
 
   serve::ServerConfig config;
   config.max_batch = static_cast<int64_t>(NumFlagOr(flags, "batch", 256));
@@ -495,6 +498,53 @@ std::vector<std::string> SplitCsvList(const std::string& text) {
   return parts;
 }
 
+/// One spec per name, carrying the --gamma/--lambda/--steps training knobs
+/// (classic baselines ignore them).
+std::vector<strategies::StrategySpec> StrategySpecsFor(
+    const Flags& flags, const std::vector<std::string>& names) {
+  std::vector<strategies::StrategySpec> specs;
+  for (const std::string& name : names) {
+    strategies::StrategySpec strategy{.name = name};
+    strategy.gamma = NumFlagOr(flags, "gamma", strategy.gamma);
+    strategy.lambda = NumFlagOr(flags, "lambda", strategy.lambda);
+    strategy.base_steps =
+        static_cast<int64_t>(NumFlagOr(flags, "steps", strategy.base_steps));
+    specs.push_back(strategy);
+  }
+  return specs;
+}
+
+/// Replaces `*seeds` with the --seeds list when the flag is given. False
+/// (after printing why) on a negative entry.
+bool SeedsFromFlags(const Flags& flags, std::vector<uint64_t>* seeds) {
+  if (flags.count("seeds") == 0) return true;
+  seeds->clear();
+  for (const std::string& seed : SplitCsvList(flags.at("seeds"))) {
+    const int64_t value = ParseInt64OrDie(seed, "--seeds");
+    if (value < 0) {
+      std::fprintf(stderr, "ppn: --seeds entries must be >= 0, got %s\n",
+                   seed.c_str());
+      return false;
+    }
+    seeds->push_back(static_cast<uint64_t>(value));
+  }
+  return true;
+}
+
+/// Writes `rows` to the --json path when one is given; returns the exit
+/// code (1 when the write fails).
+int WriteJsonIfRequested(const Flags& flags,
+                         const std::vector<exec::CellResult>& rows) {
+  if (flags.count("json") == 0) return 0;
+  const std::string& path = flags.at("json");
+  if (!exec::WriteResultsJson(path, rows)) {
+    std::fprintf(stderr, "failed writing '%s'\n", path.c_str());
+    return 1;
+  }
+  std::printf("results written to %s\n", path.c_str());
+  return 0;
+}
+
 /// Builds the sweep `ExperimentSpec` from the shared sweep flags
 /// (--datasets/--strategies/--costs/--seeds/--gamma/--lambda/--steps/
 /// --checkpoint-dir/--telemetry-dir). Used by `sweep` (coordinator or
@@ -530,32 +580,14 @@ int BuildSweepSpec(const Flags& flags, exec::ExperimentSpec* spec) {
       return 2;
     }
   }
-  for (const std::string& name : names) {
-    strategies::StrategySpec strategy{.name = name};
-    strategy.gamma = NumFlagOr(flags, "gamma", strategy.gamma);
-    strategy.lambda = NumFlagOr(flags, "lambda", strategy.lambda);
-    strategy.base_steps =
-        static_cast<int64_t>(NumFlagOr(flags, "steps", strategy.base_steps));
-    spec->strategies.push_back(strategy);
-  }
+  spec->strategies = StrategySpecsFor(flags, names);
   if (flags.count("costs") > 0) {
     spec->cost_rates.clear();
     for (const std::string& rate : SplitCsvList(flags.at("costs"))) {
       spec->cost_rates.push_back(ParseDoubleOrDie(rate, "--costs"));
     }
   }
-  if (flags.count("seeds") > 0) {
-    spec->seeds.clear();
-    for (const std::string& seed : SplitCsvList(flags.at("seeds"))) {
-      const int64_t value = ParseInt64OrDie(seed, "--seeds");
-      if (value < 0) {
-        std::fprintf(stderr, "ppn: --seeds entries must be >= 0, got %s\n",
-                     seed.c_str());
-        return 2;
-      }
-      spec->seeds.push_back(static_cast<uint64_t>(value));
-    }
-  }
+  if (!SeedsFromFlags(flags, &spec->seeds)) return 2;
 
   spec->checkpoint_dir = FlagOr(flags, "checkpoint-dir", "");
   spec->telemetry_dir = FlagOr(flags, "telemetry-dir", "");
@@ -690,15 +722,7 @@ int CmdSweep(const Flags& flags) {
     std::printf("--- %s ---\n%s\n", dataset_name.c_str(),
                 printer.ToString().c_str());
   }
-  if (flags.count("json") > 0) {
-    const std::string path = flags.at("json");
-    if (!exec::WriteResultsJson(path, rows)) {
-      std::fprintf(stderr, "failed writing '%s'\n", path.c_str());
-      return 1;
-    }
-    std::printf("results written to %s\n", path.c_str());
-  }
-  return 0;
+  return WriteJsonIfRequested(flags, rows);
 }
 
 int CmdStress(const Flags& flags) {
@@ -757,32 +781,14 @@ int CmdStress(const Flags& flags) {
   // Three classic baselines plus the paper's policy by default: enough to
   // see whether the learned strategy degrades gracefully where the
   // cost-blind baselines crater.
-  for (const std::string& name :
-       SplitCsvList(FlagOr(flags, "strategies", "UBAH,CRP,OLMAR,PPN"))) {
-    strategies::StrategySpec strategy{.name = name};
-    strategy.gamma = NumFlagOr(flags, "gamma", strategy.gamma);
-    strategy.lambda = NumFlagOr(flags, "lambda", strategy.lambda);
-    strategy.base_steps =
-        static_cast<int64_t>(NumFlagOr(flags, "steps", strategy.base_steps));
-    spec.strategies.push_back(strategy);
-  }
+  spec.strategies = StrategySpecsFor(
+      flags, SplitCsvList(FlagOr(flags, "strategies", "UBAH,CRP,OLMAR,PPN")));
   if (spec.strategies.empty()) {
     std::fprintf(stderr, "--strategies is empty\n");
     return 2;
   }
   spec.cost_rates = {NumFlagOr(flags, "cost", 0.0025)};
-  if (flags.count("seeds") > 0) {
-    spec.seeds.clear();
-    for (const std::string& seed : SplitCsvList(flags.at("seeds"))) {
-      const int64_t value = ParseInt64OrDie(seed, "--seeds");
-      if (value < 0) {
-        std::fprintf(stderr, "ppn: --seeds entries must be >= 0, got %s\n",
-                     seed.c_str());
-        return 2;
-      }
-      spec.seeds.push_back(static_cast<uint64_t>(value));
-    }
-  }
+  if (!SeedsFromFlags(flags, &spec.seeds)) return 2;
 
   const int workers = static_cast<int>(NumFlagOr(flags, "workers", -1.0));
   const exec::ExperimentRunner runner(
@@ -836,15 +842,7 @@ int CmdStress(const Flags& flags) {
   std::printf("--- robustness (APV%s) ---\n%s\n",
               many_seeds ? ", seed mean" : "", matrix.ToString().c_str());
 
-  if (flags.count("json") > 0) {
-    const std::string path = flags.at("json");
-    if (!exec::WriteResultsJson(path, rows)) {
-      std::fprintf(stderr, "failed writing '%s'\n", path.c_str());
-      return 1;
-    }
-    std::printf("results written to %s\n", path.c_str());
-  }
-  return 0;
+  return WriteJsonIfRequested(flags, rows);
 }
 
 int CmdReport(const Flags& flags) {
@@ -917,7 +915,7 @@ std::vector<std::string> CollectStatsStreams(const std::string& target) {
     paths.push_back(target);
     return paths;
   }
-  for (const fs::path dir : {fs::path(target), fs::path(target) / "obs"}) {
+  for (const fs::path& dir : {fs::path(target), fs::path(target) / "obs"}) {
     for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
       const std::string name = entry.path().filename().string();
       const std::string suffix = ".stats.jsonl";
