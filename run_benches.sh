@@ -43,9 +43,13 @@
 # (e.g. PPN_HEALTH='exec.cell.seconds.p99<=2s') each bench prints a
 # PPN_HEALTH: PASS|FAIL verdict at exit; any FAIL in the combined output
 # makes this script exit non-zero.
-cd /root/repo
+#
+# Every path is relative to the checkout holding this script, so any
+# checkout can run it without touching another checkout's archives.
+cd "$(dirname "$0")" || exit 1
+root=$(pwd)
 mkdir -p bench_results
-PPN_RESULTS_JSON=/root/repo/bench_results
+PPN_RESULTS_JSON="$root/bench_results"
 export PPN_RESULTS_JSON
 gate_status=0
 {
@@ -57,24 +61,24 @@ gate_status=0
         micro_kernels|stress_bench)
           baseline=""
           if [ "${PPN_BENCH_GATE:-0}" = "1" ] && \
-             [ -f "/root/repo/bench_results/$name.json" ]; then
-            cp "/root/repo/bench_results/$name.json" \
-               "/root/repo/bench_results/$name.baseline.json"
-            baseline="/root/repo/bench_results/$name.baseline.json"
+             [ -f "$root/bench_results/$name.json" ]; then
+            cp "$root/bench_results/$name.json" \
+               "$root/bench_results/$name.baseline.json"
+            baseline="$root/bench_results/$name.baseline.json"
           fi
-            PPN_STATS_JSONL="/root/repo/bench_results/$name.stats.jsonl" \
+            PPN_STATS_JSONL="$root/bench_results/$name.stats.jsonl" \
             "$b" \
             --benchmark_repetitions="${PPN_BENCH_REPS:-3}" \
-            --benchmark_out="/root/repo/bench_results/$name.json" \
+            --benchmark_out="$root/bench_results/$name.json" \
             --benchmark_out_format=json
           if [ -n "$baseline" ]; then
             echo "===== BENCH GATE: $name ====="
             echo "comparing archive pair:"
             echo "  baseline:  $baseline"
-            echo "  candidate: /root/repo/bench_results/$name.json"
+            echo "  candidate: $root/bench_results/$name.json"
             echo "(same-host, same-window runs only — see header caveat)"
-            if ! python3 /root/repo/tools/bench_diff.py "$baseline" \
-                 "/root/repo/bench_results/$name.json"; then
+            if ! python3 "$root/tools/bench_diff.py" "$baseline" \
+                 "$root/bench_results/$name.json"; then
               echo "BENCH_GATE_FAILED: $name"
               gate_status=1
             fi
@@ -85,7 +89,7 @@ gate_status=0
           fi
           ;;
         *)
-            PPN_STATS_JSONL="/root/repo/bench_results/$name.stats.jsonl" \
+            PPN_STATS_JSONL="$root/bench_results/$name.stats.jsonl" \
             "$b"
           ;;
       esac
@@ -93,11 +97,11 @@ gate_status=0
     fi
   done
   echo "ALL_BENCHES_DONE"
-} > /root/repo/bench_output.txt 2>&1
+} > "$root/bench_output.txt" 2>&1
 # SLO gate: a bench dtor cannot change its process exit status, so the
 # health verdict is gated here off the grep-stable token each bench
 # prints when PPN_HEALTH is set.
-if grep -q "PPN_HEALTH: FAIL" /root/repo/bench_output.txt; then
+if grep -q "PPN_HEALTH: FAIL" "$root/bench_output.txt"; then
   echo "BENCH_HEALTH_FAILED: a PPN_HEALTH rule was violated (see" \
        "bench_output.txt for the [health] lines)" >&2
   gate_status=1

@@ -7,14 +7,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "common/atomic_file.h"
@@ -61,16 +65,31 @@ bool HasTaskSuffix(const std::string& name) {
          name.compare(name.size() - kLen, kLen, kSuffix) == 0;
 }
 
-/// Parses "T<index>.a<attempt>" from the front of a queue/claim/fail file
-/// name. False when the name is not ours (e.g. editor droppings).
+/// Reads "<tag><integer>." from the front of `*rest` and steps past the
+/// dot. False when the tag or dot is missing, the digits do not parse,
+/// or the value does not fit `Int`: names from a reused fabric dir are
+/// untrusted, and an overflowing number is just another foreign name.
+template <typename Int>
+bool TakeNameField(std::string_view* rest, char tag, Int* value) {
+  const size_t dot = rest->find('.');
+  if (dot == std::string_view::npos || rest->front() != tag) return false;
+  const std::optional<int64_t> parsed = ParseInt64(rest->substr(1, dot - 1));
+  if (!parsed || *parsed < std::numeric_limits<Int>::min() ||
+      *parsed > std::numeric_limits<Int>::max()) {
+    return false;
+  }
+  *value = static_cast<Int>(*parsed);
+  rest->remove_prefix(dot + 1);
+  return true;
+}
+
+/// Parses "T<index>.a<attempt>." from the front of a queue/claim/fail
+/// file name. False when the name is not ours (e.g. editor droppings).
 bool ParseIndexAttempt(const std::string& name, int64_t* index,
                        int* attempt) {
-  long long idx = 0;
-  int att = 0;
-  if (std::sscanf(name.c_str(), "T%lld.a%d.", &idx, &att) != 2) return false;
-  *index = idx;
-  *attempt = att;
-  return true;
+  std::string_view rest = name;
+  return TakeNameField(&rest, 'T', index) &&
+         TakeNameField(&rest, 'a', attempt);
 }
 
 std::string ClaimFileName(int64_t index, int attempt, int slot, int gen) {
@@ -90,13 +109,10 @@ std::string FailFileName(int64_t index, int attempt, int slot, int gen) {
 /// Parses the owner out of "T<i>.a<k>.s<slot>.g<gen>.claim" (or ".fail").
 bool ParseClaimOwner(const std::string& name, int64_t* index, int* attempt,
                      int* slot, int* gen) {
-  long long idx = 0;
-  if (std::sscanf(name.c_str(), "T%lld.a%d.s%d.g%d.", &idx, attempt, slot,
-                  gen) != 4) {
-    return false;
-  }
-  *index = idx;
-  return true;
+  std::string_view rest = name;
+  return TakeNameField(&rest, 'T', index) &&
+         TakeNameField(&rest, 'a', attempt) &&
+         TakeNameField(&rest, 's', slot) && TakeNameField(&rest, 'g', gen);
 }
 
 std::string DoneFileName(int64_t index) {
@@ -113,15 +129,18 @@ std::string TaskContent(const PlannedCell& cell) {
 
 bool ParseTaskContent(const std::string& content, int64_t* index,
                       uint64_t* seed) {
-  char magic[16] = {0};
-  long long idx = 0;
-  unsigned long long seed_bits = 0;
-  if (std::sscanf(content.c_str(), "%15s %lld %llx", magic, &idx,
-                  &seed_bits) != 3) {
+  std::istringstream in(content);
+  std::string magic, index_text, seed_text;
+  if (!(in >> magic >> index_text >> seed_text) || magic != kTaskMagic) {
     return false;
   }
-  if (std::strcmp(magic, kTaskMagic) != 0 || idx < 0) return false;
-  *index = idx;
+  const std::optional<int64_t> idx = ParseInt64(index_text);
+  uint64_t seed_bits = 0;
+  const char* seed_end = seed_text.data() + seed_text.size();
+  const auto [ptr, ec] =
+      std::from_chars(seed_text.data(), seed_end, seed_bits, 16);
+  if (!idx || *idx < 0 || ec != std::errc() || ptr != seed_end) return false;
+  *index = *idx;
   *seed = seed_bits;
   return true;
 }
@@ -220,7 +239,10 @@ bool ParseStatus(const std::string& content, WorkerStatus* status) {
     const size_t eq = line.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = line.substr(0, eq);
-    const long long value = std::atoll(line.c_str() + eq + 1);
+    const std::optional<int64_t> parsed =
+        ParseInt64(std::string_view(line).substr(eq + 1));
+    if (!parsed) return false;  // Not a status file this worker wrote.
+    const int64_t value = *parsed;
     if (key == "cells_done") status->cells_done = value;
     else if (key == "cells_restored") status->cells_restored = value;
     else if (key == "cells_stolen") status->cells_stolen = value;
@@ -1005,8 +1027,9 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
       << dir << "; see obs/worker-*.log)";
 
   // Stitch the cross-process observability artifacts while the scratch
-  // dir still holds the per-worker files. Merged outputs are also copied
-  // next to the user's own sink paths so they survive scratch cleanup.
+  // dir still holds the per-worker files. The merged trace and every
+  // worker stats stream are copied next to the user's own sink paths so
+  // they survive scratch cleanup.
   if (env::HasValue("PPN_TRACE_JSON")) {
     const std::string coord_trace =
         (fs::path(dir) / "obs" / "coordinator.trace.json").string();
@@ -1033,22 +1056,21 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
                    merge_error.c_str());
     }
   }
-  if (env::HasValue("PPN_STATS_JSONL") && !worker_streams.empty()) {
-    const std::string merged =
-        (fs::path(dir) / "obs" / "merged.stats.jsonl").string();
-    std::string merge_error;
-    if (obs::MergeStatsStreams(worker_streams, merged, &merge_error)) {
+  if (env::HasValue("PPN_STATS_JSONL")) {
+    // Byte-for-byte copies, so each worker's windows stay readable by
+    // `ReadStatsStream` and `ppn_cli top` after scratch cleanup.
+    const std::string prefix = env::StringOr("PPN_STATS_JSONL", "") + ".";
+    for (const std::string& stream : worker_streams) {
       const std::string persist =
-          env::StringOr("PPN_STATS_JSONL", "") + ".workers.jsonl";
+          prefix + fs::path(stream).filename().string();
       std::error_code copy_ec;
-      fs::copy_file(merged, persist, fs::copy_options::overwrite_existing,
+      fs::copy_file(stream, persist, fs::copy_options::overwrite_existing,
                     copy_ec);
-      std::fprintf(stderr, "[fabric] merged %zu worker stats streams -> %s\n",
-                   worker_streams.size(),
-                   copy_ec ? merged.c_str() : persist.c_str());
-    } else {
-      std::fprintf(stderr, "[fabric] stats stream merge failed: %s\n",
-                   merge_error.c_str());
+      if (copy_ec) {
+        std::fprintf(stderr, "[fabric] cannot copy %s to %s: %s\n",
+                     stream.c_str(), persist.c_str(),
+                     copy_ec.message().c_str());
+      }
     }
   }
 

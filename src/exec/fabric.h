@@ -31,9 +31,9 @@
 ///   corrupt/<name>.corrupt                     unreadable/mismatched task
 ///   cells/cell-<seed>.ckpt                     the ONLY result state
 ///   obs/worker-<slot>.g<gen>.{log,status,trace.json,stats.jsonl}
-///   obs/{coordinator.trace.json,merged.trace.json,merged.stats.jsonl}
+///   obs/{coordinator.trace.json,merged.trace.json}
 ///                                              written at assembly when
-///                                              tracing/sampling is on
+///                                              tracing is on
 ///
 /// A task file carries `ppnfab1 <index> <derived_seed hex>`; the worker
 /// validates the seed echo against its own `CellPlan`, so a coordinator
@@ -81,8 +81,9 @@
 /// coordinator's and every worker generation's Chrome traces into one
 /// Perfetto timeline (obs/trace_merge.h), copied to
 /// `$PPN_TRACE_JSON.merged.json`; with `PPN_STATS_JSONL` set on the
-/// coordinator, the worker streams are also merged to
-/// `$PPN_STATS_JSONL.workers.jsonl`.
+/// coordinator, each worker stream is copied byte for byte to
+/// `$PPN_STATS_JSONL.worker-<slot>.g<gen>.stats.jsonl`, in the same
+/// `ppn.stats.v1` format `ppn_cli top` reads.
 
 namespace ppn::exec {
 

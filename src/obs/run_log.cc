@@ -11,11 +11,6 @@ namespace ppn::obs {
 
 namespace {
 
-/// Queue bound: ~100KB of buffered records. Deep enough that the writer
-/// thread absorbs disk hiccups, shallow enough that a stalled disk
-/// back-pressures the producer instead of ballooning memory.
-constexpr size_t kQueueCapacity = 1024;
-
 std::string FormatHeader(const RunLogMeta& meta) {
   std::string line = "{\"schema\": \"ppn.runlog.v1\"";
   line += ", \"run\": \"" + JsonEscape(meta.run_id) + "\"";
@@ -73,58 +68,20 @@ RunLog::RunLog(std::string path, const RunLogMeta& meta)
   file->stream() << FormatHeader(meta);
   if (!file->ok()) return;
   file_ = std::move(file);
-  writer_ = std::thread([this] { WriterLoop(); });
 }
 
 RunLog::~RunLog() { Close(); }
 
 void RunLog::Append(const RunLogRecord& record) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_full_.wait(lock, [this] {
-    return queue_.size() < kQueueCapacity || closing_;
-  });
-  if (closing_) return;  // Appends after Close are discarded.
-  queue_.push_back(record);
-  lock.unlock();
-  not_empty_.notify_one();
+  if (file_ == nullptr) return;  // Appends after Close are discarded.
+  file_->stream() << FormatRecord(record);
 }
 
 bool RunLog::Close() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (closed_) return ok_;
-    closed_ = true;
-    closing_ = true;
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
-  if (writer_.joinable()) writer_.join();
-  if (file_ != nullptr) {
-    ok_ = ok_ && file_->Commit();
-    file_.reset();
-  } else {
-    ok_ = false;
-  }
+  if (file_ == nullptr) return ok_;
+  ok_ = file_->Commit();
+  file_.reset();
   return ok_;
-}
-
-void RunLog::WriterLoop() {
-  for (;;) {
-    RunLogRecord record;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_empty_.wait(lock, [this] { return !queue_.empty() || closing_; });
-      if (queue_.empty()) return;  // closing_ with a drained queue.
-      record = queue_.front();
-      queue_.pop_front();
-    }
-    not_full_.notify_one();
-    file_->stream() << FormatRecord(record);
-    if (!file_->ok()) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ok_ = false;
-    }
-  }
 }
 
 }  // namespace ppn::obs

@@ -1,13 +1,9 @@
 #ifndef PPN_OBS_RUN_LOG_H_
 #define PPN_OBS_RUN_LOG_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/atomic_file.h"
 
@@ -21,14 +17,14 @@
 /// trajectories, Table 7 variance suppression): nothing is downsampled
 /// and nothing wraps.
 ///
-/// Architecture: `Append` pushes onto a bounded in-memory queue and a
-/// background writer thread formats and streams the records, so the
-/// training loop never blocks on disk — until the queue fills, at which
-/// point `Append` BLOCKS (backpressure) rather than dropping: a gap in a
-/// dynamics curve is worse than a slow step. The file is written through
-/// `common/atomic_file.h`, so a crash mid-run leaves no partial file at
-/// the target path; `Close()` (or destruction) drains, commits, and
-/// renames.
+/// Architecture: `Append` formats the record on the calling (training)
+/// thread and streams it into the buffered `common/atomic_file.h`
+/// writer, so a step reaches the kernel only when the stream's buffer
+/// fills (about every 8 KiB, ≈30 records). Records are never dropped: a
+/// stalled disk stalls the step that fills the buffer, since a gap in a
+/// dynamics curve is worse than a slow step. A crash mid-run leaves no
+/// partial file at the target path; `Close()` (or destruction) commits
+/// and renames.
 ///
 /// File format (schema-versioned): first line is a header object
 ///   {"schema": "ppn.runlog.v1", "run": "<id>", ...metadata...}
@@ -86,19 +82,19 @@ class RunLog {
   static std::unique_ptr<RunLog> Open(const std::string& path,
                                       const RunLogMeta& meta);
 
-  /// Drains and commits if `Close` was not called.
+  /// Commits if `Close` was not called.
   ~RunLog();
 
   RunLog(const RunLog&) = delete;
   RunLog& operator=(const RunLog&) = delete;
 
-  /// Enqueues one step record. Blocks when the queue is full
-  /// (backpressure — records are never dropped). Thread-compatible: one
-  /// producer per RunLog, which is how trainers use it.
+  /// Writes one step record into the stream's buffer. Discarded after
+  /// `Close`. Thread-compatible: one producer per RunLog, which is how
+  /// trainers use it.
   void Append(const RunLogRecord& record);
 
-  /// Drains the queue, joins the writer, commits the file (atomic
-  /// rename). Returns false if any write failed. Idempotent.
+  /// Commits the file (atomic rename). Returns false if any write
+  /// failed. Idempotent: later calls return the first verdict.
   bool Close();
 
   /// Final target path.
@@ -107,19 +103,9 @@ class RunLog {
  private:
   RunLog(std::string path, const RunLogMeta& meta);
 
-  void WriterLoop();
-
   std::string path_;
-  std::unique_ptr<AtomicFileWriter> file_;
-
-  std::mutex mutex_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<RunLogRecord> queue_;
-  bool closing_ = false;
-  bool closed_ = false;
+  std::unique_ptr<AtomicFileWriter> file_;  ///< Null once closed.
   bool ok_ = true;
-  std::thread writer_;
 };
 
 #else  // PPN_OBS_DISABLED: the logger compiles to nothing.

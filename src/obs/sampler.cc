@@ -9,13 +9,11 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <mutex>
 #include <thread>
 #include <utility>
 
-#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/env.h"
 #include "common/json.h"
@@ -107,89 +105,12 @@ bool ReadStatsStream(const std::string& path, StatsStream* out,
   return true;
 }
 
-bool MergeStatsStreams(const std::vector<std::string>& inputs,
-                       const std::string& out_path, std::string* error,
-                       int* skipped) {
-  struct MergedLine {
-    double t_unix_ms;
-    size_t order;  ///< Tie-break: stable within and across streams.
-    std::string text;
-  };
-  std::vector<MergedLine> lines;
-  std::vector<std::string> processes;
-  int skipped_count = 0;
-  size_t order = 0;
-  for (const std::string& input : inputs) {
-    StatsStream parsed;
-    if (!ReadStatsStream(input, &parsed)) {
-      ++skipped_count;
-      continue;
-    }
-    // Re-read raw lines so the merged stream preserves each sample's
-    // original bytes (doubles stay bit-exact through the merge).
-    std::ifstream in(input);
-    std::string line;
-    std::getline(in, line);  // Header, already parsed.
-    std::string process = parsed.process.empty() ? input : parsed.process;
-    processes.push_back(process);
-    std::string prefix = "{\"process\": \"" + JsonEscape(process) + "\"";
-    while (std::getline(in, line)) {
-      size_t open = line.find('{');
-      if (open == std::string::npos) continue;
-      JsonValue value;
-      if (!ParseJson(line, &value) || !value.is_object()) continue;
-      double t_ms = value.NumberOr("t_ms", 0.0);
-      double t_unix_ms = static_cast<double>(parsed.start_unix_ms) + t_ms;
-      std::string text = prefix + ", \"t_unix_ms\": ";
-      AppendJsonNumber(&text, t_unix_ms);
-      std::string rest = line.substr(open + 1);
-      size_t body = rest.find_first_not_of(" \t");
-      if (body == std::string::npos || rest[body] == '}') {
-        text += "}";
-      } else {
-        text += ", " + rest;
-      }
-      lines.push_back({t_unix_ms, order++, std::move(text)});
-    }
-  }
-  if (skipped != nullptr) *skipped = skipped_count;
-  std::stable_sort(lines.begin(), lines.end(),
-                   [](const MergedLine& a, const MergedLine& b) {
-                     if (a.t_unix_ms != b.t_unix_ms) {
-                       return a.t_unix_ms < b.t_unix_ms;
-                     }
-                     return a.order < b.order;
-                   });
-  AtomicFileWriter writer(out_path);
-  if (!writer.ok()) {
-    if (error != nullptr) *error = "cannot open " + out_path;
-    return false;
-  }
-  std::string header = "{\"schema\": \"ppn.stats.merged.v1\", \"streams\": [";
-  for (size_t i = 0; i < processes.size(); ++i) {
-    if (i > 0) header += ", ";
-    header += "\"" + JsonEscape(processes[i]) + "\"";
-  }
-  header += "]}\n";
-  writer.stream() << header;
-  for (const MergedLine& line : lines) {
-    writer.stream() << line.text << "\n";
-  }
-  if (!writer.Commit()) {
-    if (error != nullptr) *error = "cannot write " + out_path;
-    return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Sampler — compiles out with the rest of the obs write path.
 
 #ifndef PPN_OBS_DISABLED
 
 namespace {
-
-constexpr size_t kQueueCapacity = 1024;
 
 /// Lower bound of histogram bucket `index` (inclusive); bucket 0 also
 /// absorbs clamped non-positive values, so its floor is 0.
@@ -219,7 +140,10 @@ HistogramSnapshot WindowHistogram(const HistogramSnapshot* prev,
       last = i;
     }
   }
-  if (prev == nullptr || prev->count <= 0) {
+  // `Histogram::Observe` bumps the count before its bucket, so a snapshot
+  // racing an observer can show a count delta with no bucket delta yet
+  // (last < 0); then only the cumulative watermarks bound the window.
+  if (prev == nullptr || prev->count <= 0 || last < 0) {
     // First active window: cumulative == window, watermarks are exact.
     delta.min = cur.min;
     delta.max = cur.max;
@@ -369,25 +293,13 @@ struct StatsSampler::Impl {
   HealthMonitor monitor{{}};
   Snapshot prev;
   std::chrono::steady_clock::time_point start;
+  double last_t_ms = 0.0;
 
   std::mutex mutex;
-  std::condition_variable not_full;
-  std::condition_variable not_empty;
   std::condition_variable wake;
-  std::deque<std::string> queue;
-  bool stop_sampling = false;  ///< Sampling thread: emit final line, exit.
-  bool writer_closing = false;  ///< Writer thread: drain queue, exit.
+  bool stop_sampling = false;  ///< Sampling thread: emit final lines, exit.
   bool stopped = false;
   std::thread sampling_thread;
-  std::thread writer_thread;
-
-  void Enqueue(std::string line) {
-    std::unique_lock<std::mutex> lock(mutex);
-    not_full.wait(lock, [this] { return queue.size() < kQueueCapacity; });
-    queue.push_back(std::move(line));
-    lock.unlock();
-    not_empty.notify_one();
-  }
 
   void SampleOnce(std::chrono::steady_clock::time_point now) {
     Snapshot cur = TakeSnapshot();
@@ -404,7 +316,7 @@ struct StatsSampler::Impl {
     head += ", \"window_ms\": ";
     AppendJsonNumber(&head, t_ms - last_t_ms);
     last_t_ms = t_ms;
-    Enqueue(FormatSample(head, window, evals));
+    WriteLine(FormatSample(head, window, evals));
     prev = std::move(cur);
   }
 
@@ -414,7 +326,7 @@ struct StatsSampler::Impl {
   void EmitTotal() {
     std::string head = "\"total\": true, \"t_ms\": ";
     AppendJsonNumber(&head, last_t_ms);
-    Enqueue(FormatSample(head, WindowView(Snapshot{}, prev), {}));
+    WriteLine(FormatSample(head, WindowView(Snapshot{}, prev), {}));
   }
 
   void SamplingLoop() {
@@ -433,24 +345,10 @@ struct StatsSampler::Impl {
     EmitTotal();
   }
 
-  void WriterLoop() {
-    for (;;) {
-      std::string line;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        not_empty.wait(lock,
-                       [this] { return !queue.empty() || writer_closing; });
-        if (queue.empty()) return;
-        line = std::move(queue.front());
-        queue.pop_front();
-      }
-      not_full.notify_one();
-      WriteLine(line);
-    }
-  }
-
-  /// One full-line write(2) per sample: a tailer never sees interleaved
-  /// fragments, only whole lines plus at most one in-flight partial.
+  /// One full-line write(2) per line, on the thread that formatted it: a
+  /// tailer never sees interleaved fragments, only whole lines plus at
+  /// most one in-flight partial. A stalled disk stretches the next window
+  /// (`window_ms` records its real length).
   void WriteLine(const std::string& line) {
     size_t written = 0;
     while (written < line.size()) {
@@ -463,8 +361,6 @@ struct StatsSampler::Impl {
       written += static_cast<size_t>(n);
     }
   }
-
-  double last_t_ms = 0.0;
 };
 
 StatsSampler::StatsSampler(std::unique_ptr<Impl> impl)
@@ -498,7 +394,6 @@ std::unique_ptr<StatsSampler> StatsSampler::Start(
   impl->prev = TakeSnapshot();
   impl->WriteLine(header);
   Impl* raw = impl.get();
-  impl->writer_thread = std::thread([raw] { raw->WriterLoop(); });
   impl->sampling_thread = std::thread([raw] { raw->SamplingLoop(); });
   // unique_ptr via `new`: the constructor is private.
   return std::unique_ptr<StatsSampler>(new StatsSampler(std::move(impl)));
@@ -513,15 +408,9 @@ bool StatsSampler::Stop() {
     impl.stop_sampling = true;
   }
   impl.wake.notify_all();
-  // The sampling thread emits its final window before exiting, so the
-  // writer must only be closed after it joins.
+  // The sampling thread writes its final window and the total line
+  // before exiting, so the fd closes only after it joins.
   if (impl.sampling_thread.joinable()) impl.sampling_thread.join();
-  {
-    std::unique_lock<std::mutex> lock(impl.mutex);
-    impl.writer_closing = true;
-  }
-  impl.not_empty.notify_all();
-  if (impl.writer_thread.joinable()) impl.writer_thread.join();
   if (impl.fd >= 0) {
     ::close(impl.fd);
     impl.fd = -1;

@@ -39,7 +39,7 @@
 ///
 ///   - `t_ms` is MONOTONIC (steady-clock milliseconds since sampler
 ///     start); `start_unix_ms` in the header anchors it to wall time so
-///     the fabric coordinator can merge-sort worker streams.
+///     streams from different processes line up on one clock.
 ///   - `counters` holds per-window DELTAS (zero deltas omitted);
 ///     `gauges` holds the current high-watermark values; `hists` holds
 ///     per-window distributions (bucket-wise snapshot deltas — a rolling
@@ -60,12 +60,11 @@
 ///   - Doubles print as `%.17g`, so a parse→reprint round trip through
 ///     `common/json` is bit-exact.
 ///
-/// Each line is committed with a single `write(2)` on an append-only fd,
-/// so concurrent tailers never observe a torn line (except a benign
-/// trailing partial while a write is in flight). Formatting happens on
-/// the sampling thread; a bounded queue + dedicated writer thread (the
-/// `RunLog` backpressure design) keeps a stalled disk from delaying
-/// sampling until the queue fills.
+/// The sampling thread formats each line and commits it with a single
+/// `write(2)` on an append-only fd, so concurrent tailers never observe a
+/// torn line (except a benign trailing partial while a write is in
+/// flight). A stalled disk stretches the next window, and `window_ms`
+/// records its real length.
 ///
 /// The sampler only OBSERVES: it never feeds values back into
 /// computation, so result paths stay bit-identical with sampling on or
@@ -90,8 +89,8 @@ class StatsSampler {
   static std::unique_ptr<StatsSampler> Start(const SamplerOptions& options);
 
   /// Stops with a final window sample (so even sub-window runs emit at
-  /// least one line) and the whole-run `total` line, drains the queue,
-  /// and closes the stream. Returns false if any write failed.
+  /// least one line) and the whole-run `total` line, joins the sampling
+  /// thread, and closes the stream. Returns false if any write failed.
   /// Idempotent; the destructor calls it.
   bool Stop();
 
@@ -126,7 +125,7 @@ std::unique_ptr<StatsSampler> StartSamplerFromEnv(const std::string& process);
 
 // ---------------------------------------------------------------------------
 // Stream readers (always compiled; used by `ppn_cli top` and the fabric
-// coordinator's stream merge).
+// coordinator's fold of each worker's `total` line).
 
 /// Reader-side view of one histogram window (the stream stores derived
 /// stats, not buckets).
@@ -166,16 +165,6 @@ struct StatsStream {
 /// malformed sample lines are skipped, not fatal.
 bool ReadStatsStream(const std::string& path, StatsStream* out,
                      std::string* error = nullptr);
-
-/// Merges several streams into one: every sample line, the `total` line
-/// included, is re-emitted with `"process"` and a wall-clock
-/// `"t_unix_ms"` sort key stamped in front of its original
-/// (byte-identical) payload, merge-sorted by that global time. Inputs
-/// that fail to parse are skipped (counted in `*skipped`); false only
-/// when the output cannot be written.
-bool MergeStatsStreams(const std::vector<std::string>& inputs,
-                       const std::string& out_path, std::string* error,
-                       int* skipped = nullptr);
 
 }  // namespace ppn::obs
 

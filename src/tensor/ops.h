@@ -65,21 +65,6 @@ Tensor MapFused(const Tensor& a, Fn fn) {
   return out;
 }
 
-/// Applies `fn(a_i, b_i)` elementwise with static dispatch (same shape).
-template <typename Fn>
-Tensor ZipMapFused(const Tensor& a, const Tensor& b, Fn fn) {
-  PPN_CHECK(SameShape(a, b))
-      << "ZipMapFused: shape mismatch " << ShapeToString(a.shape()) << " vs "
-      << ShapeToString(b.shape());
-  Tensor out = Tensor::Uninitialized(a.shape());
-  const float* pa = a.Data();
-  const float* pb = b.Data();
-  float* po = out.MutableData();
-  const int64_t n = a.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
-  return out;
-}
-
 /// Counts one [m,k] x [k,n] product (2·m·n·k FLOPs) in
 /// `tensor.matmul.calls` / `tensor.matmul.flops` when obs is enabled. The
 /// three MatMul variants call it; code that runs the dispatched matmul

@@ -223,6 +223,14 @@ TEST(FabricTest, ForeignEntriesFromAReusedFabricDirAreDiscarded) {
     drop("failed/T500.a0.s7.g9.fail", "ppnfab1 500 00000000deadbeef\n");
     drop("corrupt/T888.a0.task.corrupt", "scribble\n");
     drop("queue/shard-0/T777.a0.task", "ppnfab1 777 00000000deadbeef\n");
+    // Numbers that overflow their field are foreign names too, never
+    // saturated or truncated into a usable index, attempt or owner.
+    drop("queue/shard-0/T99999999999999999999.a0.task",
+         "ppnfab1 99999999999999999999 00000000deadbeef\n");
+    drop("claims/T1.a99999999999.s7.g9.claim",
+         "ppnfab1 1 00000000deadbeef\n");
+    drop("claims/T2.a0.s99999999999.g9.claim",
+         "ppnfab1 2 00000000deadbeef\n");
     // An in-flight-looking temp must never be claimed AS its base task;
     // workers quarantine it, and the coordinator recovers cell 3 from
     // its authoritative list.

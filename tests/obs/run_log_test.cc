@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -143,7 +144,17 @@ TEST(RunLogTest, WritesHeaderAndRoundTripsRecordsExactly) {
     log->Append(record);
     written.push_back(record);
   }
+  // The file lands atomically: nothing exists at the target until Close.
+  EXPECT_FALSE(std::filesystem::exists(path));
   ASSERT_TRUE(log->Close());
+  EXPECT_TRUE(log->Close());  // Idempotent: repeats the first verdict.
+  const auto read_all = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string committed = read_all();
+  log->Append(written.front());  // Discarded after Close.
+  EXPECT_EQ(read_all(), committed);
 
   ParsedRunLog parsed;
   std::string error;

@@ -1,7 +1,7 @@
 // The periodic stats sampler: stream structure, counter-delta
 // correctness, %.17g bit-exact round trips through common/json, health
 // verdicts on sample lines, cross-thread metric updates while sampling
-// (the tsan lane's target), and the multi-stream merge.
+// (the tsan lane's target), and the stream readers.
 
 #include "obs/sampler.h"
 
@@ -294,68 +294,6 @@ TEST_F(SamplerTest, ConcurrentMetricUpdatesWhileSamplingAreClean) {
   StatsStream stream;
   ASSERT_TRUE(ReadStatsStream(path, &stream));
   EXPECT_GE(stream.samples.size(), 5u);
-}
-
-TEST_F(SamplerTest, MergeStampsProcessAndGlobalTimePreservingPayload) {
-  SKIP_IF_COMPILED_OUT();
-  const std::string path_a =
-      test::FreshDir("merge_a") + "/sampler_merge_a.stats.jsonl";
-  const std::string path_b =
-      test::FreshDir("merge_b") + "/sampler_merge_b.stats.jsonl";
-  for (const auto& [path, metric] :
-       {std::pair<std::string, std::string>{path_a, "sampler.test.merge_a"},
-        std::pair<std::string, std::string>{path_b,
-                                            "sampler.test.merge_b"}}) {
-    SamplerOptions options;
-    options.path = path;
-    options.sample_ms = 60'000;
-    auto sampler = StatsSampler::Start(options);
-    ASSERT_NE(sampler, nullptr);
-    GetCounter(metric).Add(1.0);
-    ASSERT_TRUE(sampler->Stop());
-  }
-
-  const std::string merged_path =
-      test::FreshDir("merged") + "/sampler_merged.jsonl";
-  std::string error;
-  int skipped = -1;
-  ASSERT_TRUE(MergeStatsStreams({path_a, path_b}, merged_path, &error,
-                                &skipped))
-      << error;
-  EXPECT_EQ(skipped, 0);
-
-  const std::vector<std::string> lines = RawLines(merged_path);
-  ASSERT_GE(lines.size(), 3u);  // Header + one sample per stream.
-  JsonValue header;
-  ASSERT_TRUE(ParseJson(lines[0], &header));
-  EXPECT_EQ(header.StringOr("schema", ""), "ppn.stats.merged.v1");
-  double t_prev = 0.0;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    JsonValue value;
-    ASSERT_TRUE(ParseJson(lines[i], &value)) << lines[i];
-    // Every merged line is stamped with its origin and a global clock,
-    // sorted by that clock.
-    const std::string process = value.StringOr("process", "");
-    EXPECT_TRUE(process == "sampler_merge_a" || process == "sampler_merge_b")
-        << process;
-    const double t_unix = value.NumberOr("t_unix_ms", -1.0);
-    EXPECT_GE(t_unix, t_prev);
-    t_prev = t_unix;
-  }
-  // Payload preservation: the original sample line's bytes after `{`
-  // appear verbatim in exactly one merged line.
-  const std::vector<std::string> original = RawLines(path_a);
-  ASSERT_GE(original.size(), 2u);
-  const std::string payload = original[1].substr(1);  // Drop "{".
-  int found = 0;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].size() >= payload.size() &&
-        lines[i].compare(lines[i].size() - payload.size(), payload.size(),
-                         payload) == 0) {
-      ++found;
-    }
-  }
-  EXPECT_EQ(found, 1);
 }
 
 TEST_F(SamplerTest, ReadRejectsMissingAndForeignFiles) {

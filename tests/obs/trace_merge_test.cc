@@ -389,9 +389,11 @@ TEST(TraceMergeCliTest, TracedTwoProcessSweepStitchesOneTimeline) {
   // The merged timeline is also copied next to $PPN_TRACE_JSON.
   EXPECT_TRUE(fs::exists(dir + "/sweep.trace.json.merged.json"));
 
-  // Worker stats streams were merged for the coordinator...
-  EXPECT_TRUE(fs::exists(dir + "/sweep.stats.jsonl.workers.jsonl"));
-  EXPECT_TRUE(fs::exists(fabric_dir + "/obs/merged.stats.jsonl"));
+  // Each worker stats stream is copied next to the coordinator's...
+  EXPECT_TRUE(
+      fs::exists(dir + "/sweep.stats.jsonl.worker-0.g0.stats.jsonl"));
+  EXPECT_TRUE(
+      fs::exists(dir + "/sweep.stats.jsonl.worker-1.g0.stats.jsonl"));
   StatsStream worker_stream;
   ASSERT_TRUE(ReadStatsStream(fabric_dir + "/obs/worker-0.g0.stats.jsonl",
                               &worker_stream));
@@ -419,6 +421,54 @@ TEST(TraceMergeCliTest, TracedTwoProcessSweepStitchesOneTimeline) {
   MergedView review;
   ASSERT_NO_FATAL_FAILURE(LoadMerged(remerged, &review));
   EXPECT_GE(review.process_pids.size(), 3u);
+}
+
+TEST(TraceMergeCliTest, DefaultScratchSweepKeepsEveryWorkerStatsStream) {
+#ifdef PPN_OBS_DISABLED
+  GTEST_SKIP() << "obs compiled out (-DPPN_OBS_COMPILED=OFF)";
+#endif
+  // No --fabric-dir: the scratch dir lands under $TMPDIR and is removed
+  // after the sweep, so the worker streams must survive as copies next
+  // to $PPN_STATS_JSONL.
+  const std::string dir = test::FreshDir("cli_worker_streams");
+  const std::string tmp = dir + "/tmp";
+  fs::create_directories(tmp);
+  const std::string stats = dir + "/coordinator.stats.jsonl";
+  {
+    const ScopedEnv tmpdir("TMPDIR", tmp);
+    const ScopedEnv stats_env("PPN_STATS_JSONL", stats);
+    const ScopedEnv sample("PPN_SAMPLE_MS", "25");
+    ASSERT_EQ(RunCommand(std::string(PPN_CLI_BIN) +
+                  " sweep --datasets crypto-a --strategies UBAH,CRP"
+                  " --costs 0.0025 --seeds 1,7 --processes 2 > " +
+                  dir + "/cli.log 2>&1"),
+              0);
+  }
+  for (const fs::directory_entry& entry : fs::directory_iterator(tmp)) {
+    ADD_FAILURE() << "scratch left behind: " << entry.path();
+  }
+  for (const std::string worker : {"worker-0.g0", "worker-1.g0"}) {
+    StatsStream stream;
+    std::string error;
+    ASSERT_TRUE(ReadStatsStream(stats + "." + worker + ".stats.jsonl",
+                                &stream, &error))
+        << error;
+    EXPECT_EQ(stream.process, worker);
+    EXPECT_TRUE(stream.total.has_value()) << worker;
+  }
+
+  // `top` over the sink directory lists the coordinator and both workers.
+  const std::string top_out = dir + "/top.out";
+  ASSERT_EQ(RunCommand(std::string(PPN_CLI_BIN) + " top --dir " + dir +
+                " --iterations 1 > " + top_out + " 2>&1"),
+            0);
+  std::ifstream top_in(top_out);
+  std::ostringstream top_text;
+  top_text << top_in.rdbuf();
+  for (const char* process : {"coordinator", "worker-0.g0", "worker-1.g0"}) {
+    EXPECT_NE(top_text.str().find(process), std::string::npos)
+        << process << " missing from:\n" << top_text.str();
+  }
 }
 
 TEST(TraceMergeCliTest, FailingHealthRuleMakesTheRunExitNonzero) {

@@ -72,10 +72,13 @@
 // samples every PPN_SAMPLE_MS from ANY command, and its last line is the
 // whole-run `total` (the end-of-run profile); `top --dir <target>` tails
 // those streams (plus a fabric dir's queue/done counts) as an in-place
-// refreshing table. A traced multi-process sweep
-// (`sweep --processes N` with PPN_TRACE_JSON) stitches coordinator and
-// worker timelines into one Perfetto JSON automatically — or on demand
-// via `report --merge-trace <fabric_dir>`. PPN_HEALTH=<rules> turns SLO
+// refreshing table. A multi-process sweep (`sweep --processes N`) with
+// PPN_STATS_JSONL=<file> also leaves each worker's own stream next to it
+// as <file>.worker-<slot>.g<gen>.stats.jsonl, so `top --dir $(dirname
+// <file>)` shows the coordinator and every worker after the scratch dir
+// is gone. With PPN_TRACE_JSON the sweep stitches coordinator and worker
+// timelines into one Perfetto JSON automatically — or on demand via
+// `report --merge-trace <fabric_dir>`. PPN_HEALTH=<rules> turns SLO
 // violations into a red end-of-run summary and a nonzero exit.
 
 #include <unistd.h>
@@ -921,8 +924,7 @@ std::vector<std::string> CollectStatsStreams(const std::string& target) {
       const std::string suffix = ".stats.jsonl";
       if (name.size() > suffix.size() &&
           name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0 &&
-          name.rfind(".workers.jsonl") == std::string::npos) {
+              0) {
         paths.push_back(entry.path().string());
       }
     }
